@@ -8,8 +8,10 @@ certificate is the lexicographically smallest relabeled adjacency bitstring
 over all leaves, and automorphism generators are harvested whenever two
 leaves produce identical bitstrings. Already-discovered automorphisms that
 fix the current branching sequence pointwise are used to skip equivalent
-siblings. Correctness before speed: the whole engine is validated against
-the brute-force definition on every small graph.
+siblings, so the harvest is strong for the first path's branching sequence
+and the group order is the product of orbit lengths along it. Correctness
+before speed: the whole engine is validated against the brute-force
+definition on every small graph.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from .graphs import Graph
-from .perms import Perm, PermGroup, identity, perm_group, reduce_generators
+from .perms import Perm, PermGroup, identity, perm_group, point_orbit, reduce_generators
 
 OrderedPartition = list[list[int]]
 
@@ -77,25 +79,9 @@ def color_refine(graph: Graph, partition: OrderedPartition | None = None) -> Ord
 @dataclass
 class _SearchOutcome:
     generators: list[Perm] = field(default_factory=list)
+    base: tuple[int, ...] = ()
     best_bits: int = 0
     leaves: int = 0
-
-
-def _orbit_contains(target: int, seeds: list[int], gens: list[Perm]) -> bool:
-    seen = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        new = []
-        for v in frontier:
-            for g in gens:
-                w = g[v]
-                if w == target:
-                    return True
-                if w not in seen:
-                    seen.add(w)
-                    new.append(w)
-        frontier = new
-    return False
 
 
 def _search(graph: Graph) -> _SearchOutcome:
@@ -104,7 +90,6 @@ def _search(graph: Graph) -> _SearchOutcome:
     ident = identity(n)
     outcome = _SearchOutcome()
     gens = outcome.generators
-    gen_seen: set[Perm] = set()
     first_bits: int | None = None
     first_lab: Perm = ident
     best_bits = 0
@@ -123,8 +108,7 @@ def _search(graph: Graph) -> _SearchOutcome:
         for i in range(n):
             g[lab_a[i]] = lab_b[i]
         gt = tuple(g)
-        if gt != ident and gt not in gen_seen:
-            gen_seen.add(gt)
+        if gt != ident:
             gens.append(gt)
 
     def recurse(cells: OrderedPartition, base: tuple[int, ...]) -> None:
@@ -142,6 +126,7 @@ def _search(graph: Graph) -> _SearchOutcome:
             bits = leaf_bits(lab)
             outcome.leaves += 1
             if first_bits is None:
+                outcome.base = base
                 first_bits = bits
                 first_lab = lab
                 best_bits = bits
@@ -162,7 +147,7 @@ def _search(graph: Graph) -> _SearchOutcome:
         for v in cell:
             if tried:
                 fixers = [g for g in gens if all(g[b] == b for b in base)]
-                if fixers and _orbit_contains(v, tried, fixers):
+                if fixers and v in point_orbit(tried, fixers):
                     continue
             rest = [w for w in cell if w != v]
             recurse(head + [[v], rest] + tail, base + (v,))
@@ -176,11 +161,14 @@ def _search(graph: Graph) -> _SearchOutcome:
 def automorphism_group(graph: Graph) -> PermGroup:
     """Automorphism group computed by individualization-refinement search.
 
-    The harvested generators are reduced to a small generating subset so
-    downstream orbit walks pay for few generators.
+    The harvest is reduced along the search's first-path base, which also
+    yields the order the group carries.
     """
     outcome = _search(graph)
-    return perm_group(reduce_generators(outcome.generators, graph.n), degree=graph.n)
+    generators, order = reduce_generators(outcome.generators, outcome.base)
+    group = perm_group(generators, degree=graph.n)
+    group.__dict__["_order"] = order
+    return group
 
 
 def _pack_bits(bits: int, nbits: int) -> bytes:

@@ -210,9 +210,9 @@ def _cmd_er_sample(args):
         target = load_graph(args.graph)
         estimate = estimate_prob_isomorphic(target, args.trials, args.seed)
         exact = er_prob_isomorphic(target)
-        sigma = estimate.ci95_halfwidth / 1.96 if estimate.trials else 0.0
+        sigma = math.sqrt(exact * (1 - exact) / estimate.trials)
         deviation = abs(estimate.estimate - float(exact))
-        failed = sigma > 0 and deviation > 6 * sigma
+        failed = deviation > 6 * sigma
         results = {
             "trials": estimate.trials,
             "hits": estimate.hits,
@@ -280,7 +280,7 @@ def _cmd_recover_aut(args):
     failed = False
     for v in vertices:
         card = deck.cards[v]
-        multiplicity = mults[canonical_form(card.graph)]
+        multiplicity = mults[deck.certificates[v]]
         recovered = recover_aut_order(card.graph, multiplicity, card.deleted_edges)
         ok = recovered == true_order
         failed = failed or not ok
@@ -314,8 +314,8 @@ def _cmd_recon_filter(args):
         if not args.blind:
             entry["origin_vertices"] = sorted(
                 c.origin_vertex
-                for c in full_deck.cards
-                if canonical_form(c.graph) == cls.certificate
+                for c, cert in zip(full_deck.cards, full_deck.certificates)
+                if cert == cls.certificate
             )
         deck_view.append(entry)
     results["deck"] = deck_view
@@ -416,6 +416,10 @@ def main(argv=None) -> int:
     if args.command == "er-sample" and args.trials is None and (args.n is None or args.m is None):
         print("error: er-sample needs --n and --m (or --trials with --graph)", file=sys.stderr)
         return 2
+    for flag, low in (("threads", 1), ("nmax", 1), ("samples", 0)):
+        if getattr(args, flag, low) < low:
+            print(f"error: --{flag} must be at least {low}", file=sys.stderr)
+            return 2
     started = time.perf_counter()
     try:
         inputs, results, failed = _HANDLERS[args.command](args)

@@ -14,10 +14,9 @@ from fractions import Fraction
 from typing import Iterable
 
 from .canon import automorphism_group, canonical_form
-from .errors import EdgeCountRangeError, EmptyEdgeSetError, ParameterRangeError
+from .errors import EdgeCountRangeError, ParameterRangeError
 from .graphs import EdgeSet, Graph, Pair, edge_set, pair_unrank
-from .orbits import edge_set_orbit
-from .ratio import AutCache, cached_aut_group
+from .ratio import AutCache, verify_ratio_identity
 
 
 @dataclass(frozen=True)
@@ -171,22 +170,14 @@ def verify_proof_chain(
     labeled copies).
     """
     dset: EdgeSet = edge_set(deleted, graph.n)
-    if not dset:
-        raise EmptyEdgeSetError("the deleted edge set must be nonempty")
+    counts = verify_ratio_identity(graph, dset, cache)
     n, m = graph.n, graph.m
     k = len(dset)
     big_n = math.comb(n, 2)
-
-    group_g = cached_aut_group(graph, cache)
-    ao_g = edge_set_orbit(group_g, dset).size
-    reduced = graph.delete_edges(dset)
-    group_minus = cached_aut_group(reduced, cache)
-    ao_minus = edge_set_orbit(group_minus, dset).size
-
-    aut_g = group_g.order
-    aut_minus = group_minus.order
+    aut_g, ao_g = counts.aut_g, counts.ao_g
+    aut_minus, ao_minus = counts.aut_minus, counts.ao_minus
     prob_g = er_prob_isomorphic(graph, aut_g)
-    prob_minus = er_prob_isomorphic(reduced, aut_minus)
+    prob_minus = er_prob_isomorphic(graph.delete_edges(dset), aut_minus)
 
     if m == k:
         checks = (

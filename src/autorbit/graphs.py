@@ -291,16 +291,17 @@ def parse_edge_list(text: str) -> Graph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise VertexRangeError("empty edge-list input")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise VertexRangeError("edge-list header must be 'n m'")
-    n, m = int(header[0]), int(header[1])
+    try:
+        n, m = map(int, lines[0].split())
+    except ValueError:
+        raise VertexRangeError("edge-list header must be 'n m'") from None
     pairs = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise VertexRangeError(f"bad edge line: {ln!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise VertexRangeError(f"bad edge line: {ln!r}") from None
+        pairs.append((u, v))
     if len(pairs) != m:
         raise VertexRangeError(f"header promises {m} edges, found {len(pairs)}")
     return new_graph(n, pairs)

@@ -13,7 +13,7 @@ from typing import Union
 
 from .errors import DegreeMismatchError
 from .graphs import EdgeSet, Pair, all_pairs, normalize_pair, pair_index
-from .perms import PermGroup, apply_edge_set, apply_pair
+from .perms import PermGroup, apply_edge_set, apply_pair, point_orbit
 
 OrbitElement = Union[int, Pair, EdgeSet]
 
@@ -76,32 +76,18 @@ class Orbit:
         return f"Orbit(kind={self.kind!r}, size={self.size})"
 
 
-def _bfs_orbit(seed, generators, step) -> frozenset:
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in generators:
-                y = step(g, x)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return frozenset(seen)
-
-
 def vertex_orbit(group: PermGroup, v: int) -> Orbit:
     if not 0 <= v < group.degree:
         raise DegreeMismatchError(f"vertex {v} out of range for degree {group.degree}")
-    return Orbit("vertex", _bfs_orbit(v, group.generators, lambda g, x: g[x]))
+    return Orbit("vertex", point_orbit([v], group.generators))
 
 
 def pair_orbit(group: PermGroup, pair: Pair) -> Orbit:
     p = normalize_pair(*pair)
     if p[1] >= group.degree:
         raise DegreeMismatchError(f"pair {p} out of range for degree {group.degree}")
-    return Orbit("pair", _bfs_orbit(p, group.generators, apply_pair))
+    pairs = all_pairs(group.degree)
+    return Orbit("pair", (pairs[i] for i in point_orbit([pair_index(*p)], group.pair_action)))
 
 
 def _walk_masks(seed_mask: int, tables, nbytes: int) -> set[int]:

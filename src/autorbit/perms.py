@@ -2,8 +2,8 @@
 
 A permutation of degree n is a tuple ``images`` of length n where
 ``images[i]`` is the image of vertex i. Groups are carried as generator
-lists; the full element set is realized on demand by breadth-first closure
-under composition (no strong generating sets at this scale).
+lists; the search's groups carry the order read off its base, and the
+breadth-first closure behind ``elements`` is kept as the reference definition.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, DegreeMismatchError
 from .graphs import EdgeSet, Graph, Pair, pair_index
@@ -111,9 +111,14 @@ class PermGroup:
     def elements(self) -> tuple[Perm, ...]:
         return _closure(self.degree, self.generators, ELEMENT_CAP)
 
+    @cached_property
+    def _order(self) -> int:
+        return len(self.elements)
+
     @property
     def order(self) -> int:
-        return len(self.elements)
+        """Recorded by the search that built the group, else the closure's size."""
+        return self._order
 
     @cached_property
     def pair_action(self) -> tuple[tuple[int, ...], ...]:
@@ -163,15 +168,43 @@ def pair_action_table(f: Perm) -> tuple[int, ...]:
     return tuple(table)
 
 
-def reduce_generators(generators: Iterable[Perm], degree: int) -> tuple[Perm, ...]:
-    """Greedy generating subset with the same closure, scanned in sorted order."""
-    out: list[Perm] = []
-    known = {identity(degree)}
-    for g in sorted(set(generators)):
-        if g not in known:
-            out.append(g)
-            known = set(_closure(degree, tuple(out), ELEMENT_CAP))
-    return tuple(out)
+def point_orbit(points: Iterable[int], generators: Sequence[Perm]) -> set[int]:
+    """Every vertex that the generated group maps some vertex of ``points`` to."""
+    seen = set(points)
+    frontier = list(seen)
+    while frontier:
+        frontier = {g[x] for x in frontier for g in generators} - seen
+        seen |= frontier
+    return seen
+
+
+def reduce_generators(generators: Iterable[Perm], base: Sequence[int]) -> tuple[tuple[Perm, ...], int]:
+    """Small generating subset and the group order, read off a base.
+
+    The generators must be strong for the base: those fixing ``base[:i]``
+    generate its pointwise stabilizer's orbit of ``base[i]``, and only the
+    identity fixes the whole base. The search's harvest is strong for its
+    first-path base (McKay & Piperno 2014); a full element list is strong
+    for any base. From the deepest level up, a generator is kept while it
+    enlarges the level point's orbit under those kept so far, until that
+    orbit is its orbit under every generator fixing the earlier points.
+    The order is the product of those orbit lengths.
+    """
+    pool = sorted(set(generators))
+    kept: list[Perm] = []
+    order = 1
+    for level in range(len(base) - 1, -1, -1):
+        point, earlier = base[level], base[:level]
+        level_gens = [g for g in pool if all(g[b] == b for b in earlier)]
+        target = len(point_orbit([point], level_gens))
+        orbit = point_orbit([point], kept)
+        while len(orbit) < target:
+            for g in level_gens:
+                if any(g[x] not in orbit for x in orbit):
+                    kept.append(g)
+                    orbit = point_orbit([point], kept)
+        order *= target
+    return tuple(kept), order
 
 
 def perm_group(generators: Iterable[Iterable[int]], degree: int | None = None) -> PermGroup:
@@ -188,22 +221,12 @@ def perm_group(generators: Iterable[Iterable[int]], degree: int | None = None) -
     return PermGroup(degree, tuple(sorted(set(gens) - {ident})))
 
 
-def group_order(
-    generators: Iterable[Iterable[int]],
-    degree: int | None = None,
-    cap: int = ELEMENT_CAP,
-) -> int:
+def group_order(generators: Iterable[Iterable[int]], degree: int | None = None) -> int:
     """Order of the group generated by ``generators`` via closure enumeration."""
     gens = [make_perm(g) for g in generators]
     if not gens:
         return 1
-    group = perm_group(gens, degree)
-    return len(_closure(group.degree, group.generators, cap))
-
-
-def enumerate_elements(group: PermGroup) -> Iterator[Perm]:
-    """Stream the group's elements in deterministic closure order."""
-    return iter(group.elements)
+    return perm_group(gens, degree).order
 
 
 def brute_force_aut(graph: Graph, cap: int = BRUTE_FORCE_CAP) -> PermGroup:
@@ -222,6 +245,7 @@ def brute_force_aut(graph: Graph, cap: int = BRUTE_FORCE_CAP) -> PermGroup:
         for p in itertools.permutations(range(n))
         if all((adjacency[p[u]] >> p[v]) & 1 for u, v in edges)
     ]
-    group = perm_group(reduce_generators(auts, n), degree=n)
+    generators, _ = reduce_generators(auts, range(n))
+    group = perm_group(generators, degree=n)
     group.__dict__["elements"] = tuple(auts)
     return group

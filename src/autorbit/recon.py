@@ -45,11 +45,16 @@ class Deck:
     cards: tuple[Card, ...]
 
     @cached_property
+    def certificates(self) -> tuple[bytes, ...]:
+        """Each card's isomorphism certificate, in card order."""
+        return tuple(canonical_form(card.graph) for card in self.cards)
+
+    @cached_property
     def classes(self) -> tuple[DeckClass, ...]:
         """Cards grouped by isomorphism certificate, ordered by certificate."""
         by_cert: dict[bytes, list[Card]] = {}
-        for card in self.cards:
-            by_cert.setdefault(canonical_form(card.graph), []).append(card)
+        for card, cert in zip(self.cards, self.certificates):
+            by_cert.setdefault(cert, []).append(card)
         return tuple(
             DeckClass(cert, members[0], len(members))
             for cert, members in sorted(by_cert.items())
@@ -59,7 +64,9 @@ class Deck:
         return {cls.certificate: cls.multiplicity for cls in self.classes}
 
     def blind(self) -> "Deck":
-        return Deck(self.kind, tuple(Card(c.graph) for c in self.cards))
+        deck = Deck(self.kind, tuple(Card(c.graph) for c in self.cards))
+        deck.__dict__["certificates"] = self.certificates  # same graphs, same certificates
+        return deck
 
 
 def vertex_deleted(graph: Graph, v: int) -> Graph:

@@ -244,3 +244,44 @@ def test_usage_errors_exit_2(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_non_integer_edge_list_token_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.el"
+    path.write_text("3 2\n0 1\n1 x\n")
+    code, out, err = run_cli(capsys, "aut", "--graph", str(path))
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_er_sample_gate_uses_the_exact_probability(capsys, monkeypatch):
+    from autorbit import cli
+    from autorbit.ermodel import SampleEstimate
+
+    def no_hits(graph, trials, seed):
+        return SampleEstimate(trials=trials, hits=0, estimate=0.0, ci95_halfwidth=0.0)
+
+    monkeypatch.setattr(cli, "estimate_prob_isomorphic", no_hits)
+    target = emit_graph6(smallgraphs.triangle_plus_isolated())  # p = 4 / C(6, 3) = 1/5
+    code, out, _ = run_cli(capsys, "er-sample", "--trials", "1000", "--seed", "1", "--graph", target)
+    assert code == 1
+    results = report_of(out)["results"]
+    assert results["exact"] == {"numerator": "1", "denominator": "5"}
+    assert results["within_6_sigma"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--n", "3", "--threads", "0"],
+        ["sweep", "--n", "3", "--samples", "-1"],
+        ["er-check-cancel", "--nmax", "0"],
+        ["er-check-cancel", "--nmax", "-1"],
+    ],
+)
+def test_out_of_range_counts_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1

@@ -1,0 +1,101 @@
+"""Group orders read off the search's base, checked against sympy and closed forms.
+
+The search's groups must never need their element list: a guard replaces the
+closure with one that raises and runs every production entry point.
+"""
+
+import json
+import math
+import random
+
+import pytest
+from sympy.combinatorics import Permutation, PermutationGroup
+
+import smallgraphs
+from autorbit import perms
+from autorbit.canon import automorphism_group
+from autorbit.cli import main
+from autorbit.ermodel import verify_proof_chain
+from autorbit.graphs import Graph, emit_graph6, from_edge_mask, new_graph
+from autorbit.ratio import verify_ratio_identity
+from autorbit.recon import augmented_deck, recover_aut_order, unique_extension_filter
+
+
+def sympy_order(group) -> int:
+    gens = [Permutation(list(g)) for g in group.generators]
+    return PermutationGroup(gens or [Permutation(list(range(group.degree)))]).order()
+
+
+def hypercube(d: int) -> Graph:
+    return new_graph(1 << d, [(v, v | 1 << i) for v in range(1 << d) for i in range(d) if not v >> i & 1])
+
+
+def grid(a: int, b: int) -> Graph:
+    def vertex(i, j):
+        return i * b + j
+
+    edges = [(vertex(i, j), vertex(i, j + 1)) for i in range(a) for j in range(b - 1)]
+    edges += [(vertex(i, j), vertex(i + 1, j)) for i in range(a - 1) for j in range(b)]
+    return new_graph(a * b, edges)
+
+
+def petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return new_graph(10, outer + spokes + inner)
+
+
+def families():
+    for n in range(1, 13):
+        yield f"K{n}", smallgraphs.complete(n), math.factorial(n)
+        yield f"E{n}", smallgraphs.empty(n), math.factorial(n)
+    for d in range(3, 7):
+        yield f"Q{d}", hypercube(d), 2**d * math.factorial(d)
+    yield "Petersen", petersen(), 120
+    for n in range(3, 21):
+        yield f"C{n}", smallgraphs.cycle(n), 2 * n
+    for a, b in ((2, 2), (3, 3), (5, 5), (2, 3), (3, 5), (4, 7)):
+        yield f"grid{a}x{b}", grid(a, b), 8 if a == b else 4
+
+
+@pytest.mark.parametrize(
+    "graph, expected", [pytest.param(g, order, id=name) for name, g, order in families()]
+)
+def test_order_matches_closed_form_and_sympy(graph, expected):
+    group = automorphism_group(graph)
+    assert group.order == expected
+    assert sympy_order(group) == expected
+
+
+def test_order_matches_sympy_on_random_graphs():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        n = rng.randint(7, 10)
+        npairs = math.comb(n, 2)
+        m = rng.randint(0, npairs)
+        graph = from_edge_mask(n, sum(1 << i for i in rng.sample(range(npairs), m)))
+        group = automorphism_group(graph)
+        assert group.order == sympy_order(group), (n, graph.mask)
+
+
+@pytest.fixture
+def no_closure(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("group elements were enumerated")
+
+    monkeypatch.setattr(perms, "_closure", refuse)
+
+
+def test_production_paths_never_enumerate_elements(no_closure, twin_hubs, capsys):
+    assert automorphism_group(smallgraphs.complete(9)).order == math.factorial(9)
+    assert verify_ratio_identity(twin_hubs, {(0, 4), (4, 5)}).holds
+    assert verify_proof_chain(twin_hubs, {(0, 4), (4, 5)}).all_hold
+    deck = augmented_deck(twin_hubs)
+    multiplicity = deck.multiplicities()[deck.certificates[4]]
+    assert recover_aut_order(deck.cards[4].graph, multiplicity, deck.cards[4].deleted_edges) == 8
+    assert unique_extension_filter(augmented_deck(smallgraphs.path(4)).blind()).unique
+    for command in ("aut", "recover-aut", "recon-filter"):
+        assert main([command, "--graph", emit_graph6(twin_hubs)]) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == command
+
