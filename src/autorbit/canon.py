@@ -9,7 +9,9 @@ over all leaves, and automorphism generators are harvested whenever two
 leaves produce identical bitstrings. Already-discovered automorphisms that
 fix the current branching sequence pointwise are used to skip equivalent
 siblings, so the harvest is strong for the first path's branching sequence
-and the group order is the product of orbit lengths along it. Correctness
+and the group order is the product of orbit lengths along it. A second pair
+colour rides in the same row ints, one n-bit layer per colour, so the same
+search finds the automorphisms that keep an edge set in place. Correctness
 before speed: the whole engine is validated against the brute-force
 definition on every small graph.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .graphs import Graph
+from .graphs import Graph, edge_set
 from .perms import Perm, PermGroup, identity, perm_group, point_orbit, reduce_generators
 
 OrderedPartition = list[list[int]]
@@ -41,15 +43,20 @@ def _validate_partition(n: int, cells: OrderedPartition) -> OrderedPartition:
     return out
 
 
-def _refine(adjacency: tuple[int, ...], cells: OrderedPartition) -> OrderedPartition:
+def _refine(rows: tuple[int, ...], cells: OrderedPartition, layers: int = 1) -> OrderedPartition:
     """Coarsest equitable refinement of an ordered partition.
 
-    Cells split by the vector of neighbor counts into every current cell;
-    fragments are ordered by that signature, so the result is deterministic.
+    A vertex's row holds its neighbours under each pair colour, colour k in
+    bits k*n..k*n+n-1. Cells split by the vector of neighbour counts into
+    every current cell, colour by colour; fragments are ordered by that
+    signature, so the result is deterministic.
     """
     cells = [sorted(c) for c in cells]
+    n = len(rows)
     while True:
         masks = [sum(1 << v for v in c) for c in cells]
+        for k in range(1, layers):
+            masks += [m << (k * n) for m in masks[: len(cells)]]
         new_cells: OrderedPartition = []
         changed = False
         for cell in cells:
@@ -58,7 +65,7 @@ def _refine(adjacency: tuple[int, ...], cells: OrderedPartition) -> OrderedParti
                 continue
             groups: dict[tuple[int, ...], list[int]] = {}
             for v in cell:
-                row = adjacency[v]
+                row = rows[v]
                 sig = tuple((row & m).bit_count() for m in masks)
                 groups.setdefault(sig, []).append(v)
             if len(groups) > 1:
@@ -84,9 +91,8 @@ class _SearchOutcome:
     leaves: int = 0
 
 
-def _search(graph: Graph) -> _SearchOutcome:
-    n = graph.n
-    adjacency = graph.adjacency
+def _search(n: int, rows: tuple[int, ...], layers: int = 1) -> _SearchOutcome:
+    """Individualization-refinement over rows that stack ``layers`` pair colours."""
     ident = identity(n)
     outcome = _SearchOutcome()
     gens = outcome.generators
@@ -94,13 +100,16 @@ def _search(graph: Graph) -> _SearchOutcome:
     first_lab: Perm = ident
     best_bits = 0
     best_lab: Perm = ident
+    # a leaf's bits are the relabeled upper triangle of each colour in turn
+    layer_rows = [rows] + [tuple(row >> (k * n) for row in rows) for k in range(1, layers)]
 
     def leaf_bits(lab: Perm) -> int:
         bits = 0
-        for i in range(n):
-            row = adjacency[lab[i]]
-            for j in range(i + 1, n):
-                bits = (bits << 1) | ((row >> lab[j]) & 1)
+        for layer in layer_rows:
+            for i in range(n):
+                row = layer[lab[i]]
+                for j in range(i + 1, n):
+                    bits = (bits << 1) | ((row >> lab[j]) & 1)
         return bits
 
     def harvest(lab_a: Perm, lab_b: Perm) -> None:
@@ -113,7 +122,7 @@ def _search(graph: Graph) -> _SearchOutcome:
 
     def recurse(cells: OrderedPartition, base: tuple[int, ...]) -> None:
         nonlocal first_bits, first_lab, best_bits, best_lab
-        cells = _refine(adjacency, cells)
+        cells = _refine(rows, cells, layers)
         target = -1
         target_size = n + 1
         for i, cell in enumerate(cells):
@@ -158,17 +167,47 @@ def _search(graph: Graph) -> _SearchOutcome:
     return outcome
 
 
+def _group(n: int, outcome: _SearchOutcome) -> PermGroup:
+    generators, order = reduce_generators(outcome.generators, outcome.base)
+    group = perm_group(generators, degree=n)
+    group.__dict__["_order"] = order
+    return group
+
+
+def _certificate(n: int, outcome: _SearchOutcome) -> bytes:
+    return n.to_bytes(4, "big") + _pack_bits(outcome.best_bits, math.comb(n, 2))
+
+
 def automorphism_group(graph: Graph) -> PermGroup:
     """Automorphism group computed by individualization-refinement search.
 
     The harvest is reduced along the search's first-path base, which also
     yields the order the group carries.
     """
-    outcome = _search(graph)
-    generators, order = reduce_generators(outcome.generators, outcome.base)
-    group = perm_group(generators, degree=graph.n)
-    group.__dict__["_order"] = order
-    return group
+    return _group(graph.n, _search(graph.n, graph.adjacency))
+
+
+def symmetry(graph: Graph) -> tuple[PermGroup, bytes]:
+    """Automorphism group and canonical certificate from one search."""
+    outcome = _search(graph.n, graph.adjacency)
+    return _group(graph.n, outcome), _certificate(graph.n, outcome)
+
+
+def edge_set_stabilizer_order(graph: Graph, pairs) -> int:
+    """Number of automorphisms of ``graph`` that map the pair set onto itself.
+
+    The pairs are a second pair colour stacked above the adjacency rows, so
+    one search of the two-coloured graph finds Aut(graph) ∩ Aut(pairs). The
+    pairs may be edges, non-edges or a mix of both.
+    """
+    n = graph.n
+    colour = [0] * n
+    for u, v in edge_set(pairs, n):
+        colour[u] |= 1 << v
+        colour[v] |= 1 << u
+    rows = tuple(row | (c << n) for row, c in zip(graph.adjacency, colour))
+    outcome = _search(n, rows, 2)
+    return reduce_generators(outcome.generators, outcome.base)[1]
 
 
 def _pack_bits(bits: int, nbits: int) -> bytes:
@@ -184,8 +223,7 @@ def canonical_form(graph: Graph) -> bytes:
     Layout: 4 bytes of vertex count, then the canonically relabeled upper
     triangle (row-major) packed big-endian.
     """
-    outcome = _search(graph)
-    return graph.n.to_bytes(4, "big") + _pack_bits(outcome.best_bits, math.comb(graph.n, 2))
+    return _certificate(graph.n, _search(graph.n, graph.adjacency))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

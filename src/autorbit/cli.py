@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .canon import automorphism_group, canonical_form
+from .canon import automorphism_group, canonical_form, symmetry
 from .errors import AutorbitError
 from .ermodel import (
     count_labeled_copies,
@@ -101,13 +101,13 @@ def _labels(args) -> list[str] | None:
 
 def _cmd_aut(args):
     graph = load_graph(args.graph)
-    group = automorphism_group(graph)
+    group, certificate = symmetry(graph)
     results = {
         "n": graph.n,
         "m": graph.m,
         "order": str(group.order),
         "generators": [list(g) for g in group.generators],
-        "certificate": canonical_form(graph).hex(),
+        "certificate": certificate.hex(),
     }
     return {"graph": args.graph}, results, False
 
@@ -170,7 +170,7 @@ def _cmd_sweep(args):
                         ao_g,
                         aut_minus,
                         ao_minus,
-                        str(Fraction(aut_g, ao_g)),
+                        str(Fraction(aut_g, ao_g)) if ao_g else "",
                         holds,
                     ]
                 )

@@ -3,19 +3,14 @@
 Orbits are computed by breadth-first closure over the generator action, so
 large groups with small orbits stay cheap. Edge-set orbits walk over
 pair-index bitmasks and only materialize their elements as pair sets when
-asked, since exact counting is the common case. ``enumerated_orbit`` applies
-every group element instead and is kept as the independent oracle for tests.
+asked, since exact counting is the common case.
 """
 
 from __future__ import annotations
 
-from typing import Union
-
 from .errors import DegreeMismatchError
-from .graphs import EdgeSet, Pair, all_pairs, normalize_pair, pair_index
-from .perms import PermGroup, apply_edge_set, apply_pair, point_orbit
-
-OrbitElement = Union[int, Pair, EdgeSet]
+from .graphs import Pair, all_pairs, normalize_pair, pair_index
+from .perms import PermGroup, point_orbit
 
 _ZERO_BYTE_TABLE = (0,) * 256
 
@@ -143,25 +138,3 @@ def edge_set_orbit(group: PermGroup, pairs) -> Orbit:
     npairs = group.degree * (group.degree - 1) // 2
     masks = _walk_masks(seed_mask, group.pair_action_bytes, (npairs + 7) // 8)
     return Orbit("edge-set", masks=masks, degree=group.degree)
-
-
-def enumerated_orbit(group: PermGroup, x: OrbitElement) -> Orbit:
-    """Oracle form: {f(x) for every f in the group}, by full enumeration."""
-    if isinstance(x, int):
-        return Orbit("vertex", frozenset(f[x] for f in group.elements))
-    if isinstance(x, tuple):
-        p = normalize_pair(*x)
-        return Orbit("pair", frozenset(apply_pair(f, p) for f in group.elements))
-    seed = frozenset(normalize_pair(*p) for p in x)
-    return Orbit("edge-set", frozenset(apply_edge_set(f, seed) for f in group.elements))
-
-
-def stabilizer_order(group: PermGroup, x: OrbitElement) -> int:
-    """Number of group elements fixing x (setwise for edge sets), by enumeration."""
-    if isinstance(x, int):
-        return sum(1 for f in group.elements if f[x] == x)
-    if isinstance(x, tuple):
-        p = normalize_pair(*x)
-        return sum(1 for f in group.elements if apply_pair(f, p) == p)
-    seed = frozenset(normalize_pair(*p) for p in x)
-    return sum(1 for f in group.elements if apply_edge_set(f, seed) == seed)

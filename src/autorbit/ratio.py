@@ -5,6 +5,17 @@ For a graph G and a nonempty edge subset E', the quantity
 orbit treats E' as edges of G and the second treats it as non-edges of
 G - E'. The check is done by integer cross-multiplication so no rational
 arithmetic sits on the pass/fail path.
+
+Both groups come from the uncoloured search. The orbit on the side with the
+smaller group (G on a tie) is always walked over the group's generators.
+The law then predicts the other side's orbit; a small prediction is walked
+as well, and a large one is replaced by |Aut| / |S|, where S, the
+automorphisms of G that fix E' setwise, is found by a separate search of
+G - E' with E' as a second edge colour. The prediction only picks the
+method, never the number, and the walk and the coloured search share no
+result, so a wrong orbit walk, a wrong group order or a wrong stabilizer
+order each breaks the equality instead of being built into it.
+Orbit–stabilizer on both sides would make the law hold by construction.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .canon import automorphism_group
+from .canon import automorphism_group, edge_set_stabilizer_order
 from .errors import CapExceededError, EmptyEdgeSetError
 from .graphs import ENUMERATION_CAP, EdgeSet, Graph, Pair, edge_set, from_edge_mask
 from .orbits import edge_set_orbit
@@ -26,6 +37,9 @@ from .perms import PermGroup
 AutCache = dict[tuple[int, int], PermGroup]
 
 SUBSET_POLICIES = ("single-edges", "all-subsets", "random")
+# Largest predicted orbit walked on the larger-group side; past it one
+# coloured search is cheaper than the walk.
+WALK_CUTOFF = 64
 ALL_SUBSETS_CAP = 5
 
 
@@ -40,7 +54,7 @@ class RatioReport:
     lhs_cross: int
     rhs_cross: int
     holds: bool
-    ratio: Fraction
+    ratio: Fraction | None  # None when no orbit size of E' in G could be derived
 
 
 @dataclass(frozen=True)
@@ -79,16 +93,27 @@ def verify_ratio_identity(
 
     The orbit of the deleted set is taken in the correct ambient graph on
     each side: under Aut(G) with the set as edges, and under Aut(G - E')
-    with the set as non-edges.
+    with the set as non-edges. The side with the smaller group is walked;
+    the other side is walked too when the law predicts at most
+    ``WALK_CUTOFF`` states, and otherwise gets |Aut| / |S| from the
+    edge-coloured search for S. A stabilizer order that does not divide the
+    group order gives an orbit size of 0, which fails the comparison.
     """
     dset: EdgeSet = edge_set(deleted, graph.n)
     if not dset:
         raise EmptyEdgeSetError("the deleted edge set must be nonempty")
     group_g = cached_aut_group(graph, cache)
-    ao_g = edge_set_orbit(group_g, dset).size
     reduced = graph.delete_edges(dset)
     group_minus = cached_aut_group(reduced, cache)
-    ao_minus = edge_set_orbit(group_minus, dset).size
+    walk_g = group_g.order <= group_minus.order
+    small, big = (group_g, group_minus) if walk_g else (group_minus, group_g)
+    ao_small = edge_set_orbit(small, dset).size
+    if big.order * ao_small <= WALK_CUTOFF * small.order:
+        ao_big = edge_set_orbit(big, dset).size
+    else:
+        stabilizer = edge_set_stabilizer_order(reduced, dset)
+        ao_big = big.order // stabilizer if stabilizer > 0 and big.order % stabilizer == 0 else 0
+    ao_g, ao_minus = (ao_small, ao_big) if walk_g else (ao_big, ao_small)
     lhs = group_g.order * ao_minus
     rhs = group_minus.order * ao_g
     return RatioReport(
@@ -99,7 +124,7 @@ def verify_ratio_identity(
         lhs_cross=lhs,
         rhs_cross=rhs,
         holds=lhs == rhs,
-        ratio=Fraction(group_g.order, ao_g),
+        ratio=Fraction(group_g.order, ao_g) if ao_g else None,
     )
 
 
@@ -166,7 +191,16 @@ def _sweep_range(
             report = verify_ratio_identity(graph, dset, cache)
             checks += 1
             if not report.holds:
-                violations.append({"mask": mask, "deleted": sorted(dset)})
+                violations.append(
+                    {
+                        "mask": mask,
+                        "deleted": sorted(dset),
+                        "aut_g": report.aut_g,
+                        "ao_g": report.ao_g,
+                        "aut_minus": report.aut_minus,
+                        "ao_minus": report.ao_minus,
+                    }
+                )
             if collect_rows:
                 rows.append(
                     (

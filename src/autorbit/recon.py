@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .canon import automorphism_group, canonical_form
+from .canon import automorphism_group, canonical_form, symmetry
 from .errors import NotASubsetError, NotDivisibleError, PreconditionError
 from .graphs import EdgeSet, Graph, edge_set
 from .orbits import edge_set_orbit, vertex_orbit
@@ -255,14 +255,13 @@ def unique_extension_filter(deck: Deck, origins: str = "isolated") -> ExtensionF
         raise PreconditionError(f"augmented decks carry n={n} cards, got {len(deck.cards)}")
     total_edges = kelly_edge_count(deck)
 
-    cache: AutCache = {}
     card_reports: list[CardClassReport] = []
     for cls in deck.classes:
         card = cls.representative.graph
         gap = total_edges - card.m
         ext_classes: list[ExtensionClass] = []
         if gap >= 1:
-            group = cached_aut_group(card, cache)
+            group = automorphism_group(card)
             remaining = _candidate_sets(card, gap, origins)
             seen: set[EdgeSet] = set()
             for cand in sorted(remaining, key=lambda s: tuple(sorted(s))):
@@ -271,7 +270,7 @@ def unique_extension_filter(deck: Deck, origins: str = "isolated") -> ExtensionF
                 orbit = edge_set_orbit(group, cand)
                 seen.update(orbit.elements)
                 extended = Graph(card.n, card.edges | cand)
-                ext_group = cached_aut_group(extended, cache)
+                ext_group, ext_certificate = symmetry(extended)
                 ao_ext = edge_set_orbit(ext_group, cand).size
                 ext_classes.append(
                     ExtensionClass(
@@ -279,7 +278,7 @@ def unique_extension_filter(deck: Deck, origins: str = "isolated") -> ExtensionF
                         orbit_size=orbit.size,
                         ratio=Fraction(cls.multiplicity * group.order, orbit.size),
                         extended_aut=ext_group.order,
-                        extended_certificate=canonical_form(extended),
+                        extended_certificate=ext_certificate,
                         multiplicity_consistent=ao_ext == cls.multiplicity,
                     )
                 )

@@ -7,8 +7,9 @@ subsets) and never through the search code it is checking.
 import itertools
 import math
 
-from autorbit.graphs import Graph, from_edge_mask
-from autorbit.perms import apply_graph
+from autorbit.graphs import Graph, from_edge_mask, normalize_pair
+from autorbit.orbits import Orbit
+from autorbit.perms import PermGroup, apply_edge_set, apply_graph, apply_pair
 
 
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
@@ -48,3 +49,28 @@ def labeled_copy_census(n: int) -> dict[int, list[int]]:
             reps.append((mask, graph))
             classes[mask] = [mask]
     return classes
+
+
+def enumerated_orbit(group: PermGroup, x) -> Orbit:
+    """{f(x) for every f in the group}, by full enumeration.
+
+    ``x`` is a vertex, a pair, or an iterable of pairs taken as a set.
+    """
+    if isinstance(x, int):
+        return Orbit("vertex", frozenset(f[x] for f in group.elements))
+    if isinstance(x, tuple):
+        p = normalize_pair(*x)
+        return Orbit("pair", frozenset(apply_pair(f, p) for f in group.elements))
+    seed = frozenset(normalize_pair(*p) for p in x)
+    return Orbit("edge-set", frozenset(apply_edge_set(f, seed) for f in group.elements))
+
+
+def stabilizer_order(group: PermGroup, x) -> int:
+    """Number of group elements fixing x (setwise for pair sets), by enumeration."""
+    if isinstance(x, int):
+        return sum(1 for f in group.elements if f[x] == x)
+    if isinstance(x, tuple):
+        p = normalize_pair(*x)
+        return sum(1 for f in group.elements if apply_pair(f, p) == p)
+    seed = frozenset(normalize_pair(*p) for p in x)
+    return sum(1 for f in group.elements if apply_edge_set(f, seed) == seed)

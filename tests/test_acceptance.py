@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import smallgraphs
-from oracles import brute_aut_order
+from oracles import brute_aut_order, enumerated_orbit
 from autorbit.canon import automorphism_group, canonical_form
 from autorbit.ermodel import (
     count_labeled_copies,
@@ -26,7 +26,7 @@ from autorbit.ermodel import (
     verify_proof_chain,
 )
 from autorbit.graphs import all_pairs, from_edge_mask
-from autorbit.orbits import edge_set_orbit, enumerated_orbit, vertex_orbit
+from autorbit.orbits import edge_set_orbit, vertex_orbit
 from autorbit.perms import brute_force_aut
 from autorbit.ratio import sweep_verify, verify_ratio_identity
 from autorbit.recon import (

@@ -181,8 +181,7 @@ def test_proof_chain_triangle_single_edge():
 
 
 def test_proof_chain_sides_rebuilt_independently(twin_hubs):
-    from oracles import brute_aut_order
-    from autorbit.orbits import enumerated_orbit
+    from oracles import brute_aut_order, enumerated_orbit
 
     dset = frozenset({(0, 4), (4, 5)})
     report = verify_proof_chain(twin_hubs, dset)

@@ -4,17 +4,11 @@ import random
 import pytest
 
 import smallgraphs
+from oracles import enumerated_orbit, stabilizer_order
 from autorbit.canon import automorphism_group
 from autorbit.errors import DegreeMismatchError
 from autorbit.graphs import all_pairs, from_edge_mask
-from autorbit.orbits import (
-    Orbit,
-    edge_set_orbit,
-    enumerated_orbit,
-    pair_orbit,
-    stabilizer_order,
-    vertex_orbit,
-)
+from autorbit.orbits import Orbit, edge_set_orbit, pair_orbit, vertex_orbit
 from autorbit.perms import brute_force_aut, perm_group
 
 

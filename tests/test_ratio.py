@@ -5,10 +5,9 @@ from fractions import Fraction
 import pytest
 
 import smallgraphs
-from oracles import brute_aut_order
+from oracles import brute_aut_order, enumerated_orbit
 from autorbit.errors import CapExceededError, EmptyEdgeSetError, NotASubsetError
 from autorbit.graphs import from_edge_mask
-from autorbit.orbits import enumerated_orbit
 from autorbit.perms import apply_edge_set, apply_graph, brute_force_aut, make_perm
 from autorbit.ratio import subsets_for_graph, sweep_verify, verify_ratio_identity
 
