@@ -27,7 +27,7 @@ from .ermodel import (
     verify_binomial_cancellation,
     verify_proof_chain,
 )
-from .graphs import Graph, Pair, emit_graph6, parse_edge_list, parse_graph6
+from .graphs import Graph, Pair, emit_graph6, normalize_pair, parse_edge_list, parse_graph6
 from .orbits import edge_set_orbit, pair_orbit, vertex_orbit
 from .ratio import sweep_verify, verify_ratio_identity
 from .recon import augmented_deck, classic_deck, recover_aut_order, unique_extension_filter
@@ -40,7 +40,11 @@ def load_graph(spec: str) -> Graph:
     format, anything else is treated as graph6.
     """
     path = Path(spec)
-    text = path.read_text() if path.is_file() else spec
+    try:
+        is_file = path.is_file()
+    except OSError:  # a long graph6 literal can exceed the file-name limit
+        is_file = False
+    text = path.read_text() if is_file else spec
     stripped = text.strip()
     if not stripped:
         raise AutorbitError("empty graph specification")
@@ -119,8 +123,10 @@ def _cmd_orbit(args):
     if args.vertex is not None:
         orbit = vertex_orbit(group, _vertex_token(args.vertex, labels))
     elif args.pair is not None:
-        pair = next(iter(parse_edges_arg(args.pair, labels)))
-        orbit = pair_orbit(group, pair)
+        pairs = {normalize_pair(*p) for p in parse_edges_arg(args.pair, labels)}
+        if len(pairs) != 1:
+            raise AutorbitError(f"--pair takes exactly one pair, got {len(pairs)}")
+        orbit = pair_orbit(group, next(iter(pairs)))
     else:
         orbit = edge_set_orbit(group, parse_edges_arg(args.edges, labels))
     results = {
@@ -275,13 +281,14 @@ def _cmd_recover_aut(args):
     deck = augmented_deck(graph)
     true_order = automorphism_group(graph).order
     mults = deck.multiplicities()
+    cache = {(c.graph.n, c.graph.mask): grp for c, (grp, _) in zip(deck.cards, deck.symmetries)}
     vertices = [args.vertex] if args.vertex is not None else list(range(graph.n))
     entries = []
     failed = False
     for v in vertices:
         card = deck.cards[v]
         multiplicity = mults[deck.certificates[v]]
-        recovered = recover_aut_order(card.graph, multiplicity, card.deleted_edges)
+        recovered = recover_aut_order(card.graph, multiplicity, card.deleted_edges, cache)
         ok = recovered == true_order
         failed = failed or not ok
         entries.append(
@@ -304,7 +311,7 @@ def _cmd_recon_filter(args):
     matches = None
     failed = False
     if report.unique:
-        matches = canonical_form(report.reconstructed[0]) == canonical_form(graph)
+        matches = report.certified[0].certificate == canonical_form(graph)
         failed = not matches
     results = _jsonify(report)
     results["matches_input"] = matches

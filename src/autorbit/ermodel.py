@@ -33,7 +33,7 @@ class SampleEstimate:
 class EquationCheck:
     name: str
     lhs: Fraction
-    rhs: Fraction
+    rhs: Fraction | None  # None when the right side divides by an orbit size of 0
 
     @property
     def holds(self) -> bool:
@@ -167,7 +167,9 @@ def verify_proof_chain(
     the chain degenerates, so the report instead carries the three
     trivial-case facts (the remainder is edgeless with n! symmetries, the
     whole edge set sits alone in its orbit, and the non-edge orbit counts the
-    labeled copies).
+    labeled copies). When ``verify_ratio_identity`` could not size the orbit
+    of E' in G (orbit size 0), every right side that divides by it is
+    ``None`` and its check fails.
     """
     dset: EdgeSet = edge_set(deleted, graph.n)
     counts = verify_ratio_identity(graph, dset, cache)
@@ -195,26 +197,27 @@ def verify_proof_chain(
         )
         return ProofChainReport(n=n, m=m, k=k, trivial_case=True, checks=checks)
 
-    tail_choices = math.comb(big_n - (m - k), k)
-    rhs_core = Fraction(1, ao_g) * Fraction(ao_minus, tail_choices)
-    checks = (
-        EquationCheck(
-            "last-k-sampled split",
-            Fraction(1, math.comb(m, k)) * prob_g,
+    names = (
+        "last-k-sampled split",
+        "after clearing the last-k binomial",
+        "substituted class probabilities",
+    )
+    lhs = (
+        Fraction(1, math.comb(m, k)) * prob_g,
+        prob_g,
+        Fraction(1, math.comb(big_n, m)) * Fraction(math.factorial(n), aut_g),
+    )
+    rhs = (None,) * 3
+    if ao_g:
+        tail_choices = math.comb(big_n - (m - k), k)
+        rhs_core = Fraction(1, ao_g) * Fraction(ao_minus, tail_choices)
+        rhs = (
             rhs_core * prob_minus,
-        ),
-        EquationCheck(
-            "after clearing the last-k binomial",
-            prob_g,
             math.comb(m, k) * rhs_core * prob_minus,
-        ),
-        EquationCheck(
-            "substituted class probabilities",
-            Fraction(1, math.comb(big_n, m)) * Fraction(math.factorial(n), aut_g),
             Fraction(math.comb(m, k), ao_g)
             * Fraction(ao_minus, tail_choices)
             * Fraction(1, math.comb(big_n, m - k))
             * Fraction(math.factorial(n), aut_minus),
-        ),
-    )
+        )
+    checks = tuple(map(EquationCheck, names, lhs, rhs))
     return ProofChainReport(n=n, m=m, k=k, trivial_case=False, checks=checks)

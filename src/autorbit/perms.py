@@ -130,8 +130,9 @@ class PermGroup:
         """Per-generator byte-translation tables over pair-index bitmasks.
 
         Entry j of a generator's table maps any byte of mask bits 8j..8j+7 to
-        the OR of their image bits, so applying the generator to a whole mask
-        is one lookup per byte. Orbits of large edge sets walk with these.
+        the OR of their image bits. No production path reads these tables:
+        edge-set orbits walk ``pair_action`` directly. The attribute is kept
+        only because ``perfbench/tracing.py`` lists it in ``SPANNED_ATTRS``.
         """
         npairs = self.degree * (self.degree - 1) // 2
         nbytes = (npairs + 7) // 8

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .canon import automorphism_group, canonical_form, symmetry
+from .canon import automorphism_group, symmetry
 from .errors import NotASubsetError, NotDivisibleError, PreconditionError
 from .graphs import EdgeSet, Graph, edge_set
 from .orbits import edge_set_orbit, vertex_orbit
+from .perms import PermGroup
 from .ratio import AutCache, cached_aut_group
 
 
@@ -37,6 +38,7 @@ class DeckClass:
     certificate: bytes
     representative: Card
     multiplicity: int
+    group: PermGroup  # the representative's automorphism group
 
 
 @dataclass(frozen=True)
@@ -45,19 +47,24 @@ class Deck:
     cards: tuple[Card, ...]
 
     @cached_property
+    def symmetries(self) -> tuple[tuple[PermGroup, bytes], ...]:
+        """Each card's automorphism group and certificate from one search, in card order."""
+        return tuple(symmetry(card.graph) for card in self.cards)
+
+    @cached_property
     def certificates(self) -> tuple[bytes, ...]:
         """Each card's isomorphism certificate, in card order."""
-        return tuple(canonical_form(card.graph) for card in self.cards)
+        return tuple(certificate for _, certificate in self.symmetries)
 
     @cached_property
     def classes(self) -> tuple[DeckClass, ...]:
         """Cards grouped by isomorphism certificate, ordered by certificate."""
-        by_cert: dict[bytes, list[Card]] = {}
-        for card, cert in zip(self.cards, self.certificates):
-            by_cert.setdefault(cert, []).append(card)
+        by_cert: dict[bytes, list[int]] = {}
+        for i, cert in enumerate(self.certificates):
+            by_cert.setdefault(cert, []).append(i)
         return tuple(
-            DeckClass(cert, members[0], len(members))
-            for cert, members in sorted(by_cert.items())
+            DeckClass(cert, self.cards[idx[0]], len(idx), self.symmetries[idx[0]][0])
+            for cert, idx in sorted(by_cert.items())
         )
 
     def multiplicities(self) -> dict[bytes, int]:
@@ -65,7 +72,7 @@ class Deck:
 
     def blind(self) -> "Deck":
         deck = Deck(self.kind, tuple(Card(c.graph) for c in self.cards))
-        deck.__dict__["certificates"] = self.certificates  # same graphs, same certificates
+        deck.__dict__["symmetries"] = self.symmetries  # same graphs, same searches
         return deck
 
 
@@ -261,7 +268,7 @@ def unique_extension_filter(deck: Deck, origins: str = "isolated") -> ExtensionF
         gap = total_edges - card.m
         ext_classes: list[ExtensionClass] = []
         if gap >= 1:
-            group = automorphism_group(card)
+            group = cls.group
             remaining = _candidate_sets(card, gap, origins)
             seen: set[EdgeSet] = set()
             for cand in sorted(remaining, key=lambda s: tuple(sorted(s))):

@@ -234,6 +234,25 @@ def test_reports_are_deterministic_modulo_timing(capsys):
     assert a == b
 
 
+def test_orbit_pair_must_name_one_pair(capsys, twin_hubs):
+    g6 = emit_graph6(twin_hubs)
+    code, out, err = run_cli(capsys, "orbit", "--graph", g6, "--pair", "0-4,4-5")
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    code, out, _ = run_cli(capsys, "orbit", "--graph", g6, "--pair", "0-4,4-0")
+    assert code == 0
+    assert report_of(out)["results"]["size"] == 4
+
+
+def test_long_graph6_literal_is_not_taken_for_a_file_name(capsys):
+    g6 = emit_graph6(smallgraphs.cycle(60))
+    assert len(g6) > 255  # longer than a file name may be
+    code, out, _ = run_cli(capsys, "aut", "--graph", g6)
+    assert code == 0
+    assert report_of(out)["results"]["order"] == "120"
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()

@@ -1,0 +1,98 @@
+"""Fuzz `autorbit orbit` and `autorbit verify` with arbitrary command-line text.
+
+Whatever the graph, edge, pair or vertex text, the command must exit 0, 1
+or 2, never escape with an exception, and print a JSON report whenever it
+exits 0 or 1. Examples are derandomized so the suite stays deterministic.
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from autorbit.cli import main
+from autorbit.graphs import Graph, all_pairs, emit_graph6
+
+FUZZ = settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def graph_and_pairs(draw):
+    """A valid graph6 string with up to three of its edges, or of any pairs when it has none."""
+    n = draw(st.integers(0, 8))
+    pairs = all_pairs(n)
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [p for p, bit in zip(pairs, bits) if bit]
+    chosen = draw(st.lists(st.sampled_from(edges or pairs or [(0, 1)]), max_size=3))
+    return emit_graph6(Graph(n, frozenset(edges))), [f"{u}-{v}" for u, v in chosen]
+
+
+# Graph noise is graph6-alphabet or arbitrary text, not printable ASCII with
+# digits and spaces: an edge-list header such as "40 0" is a valid edgeless
+# 40-vertex graph whose search runs for minutes without jump-back (ROADMAP
+# items 2 and 5), which is a speed limit, not an exit-code defect.
+graph_noise = st.one_of(
+    st.text(alphabet=st.characters(min_codepoint=63, max_codepoint=126), max_size=10),
+    st.text(max_size=10),
+)
+flag_noise = st.one_of(
+    st.integers(-2, 10).map(str),
+    st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=10),
+    st.text(alphabet="0123456789-, ab", max_size=12),
+    st.text(max_size=10),
+)
+
+
+def sometimes(noise):
+    """The noise half the time, else None (keep the valid value)."""
+    return st.tuples(st.booleans(), noise).map(lambda t: t[1] if t[0] else None)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_well_behaved(argv):
+    code, out, err = _run(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, (argv, err)
+    if code in (0, 1):
+        report = json.loads(out)
+        assert report["command"] == argv[0]
+    else:
+        assert not out, (argv, out)
+
+
+@FUZZ
+@given(
+    case=graph_and_pairs(),
+    flag=st.sampled_from(["--edges", "--pair", "--vertex"]),
+    graph_noise=sometimes(graph_noise),
+    value_noise=sometimes(flag_noise),
+)
+def test_orbit_command_never_escapes(case, flag, graph_noise, value_noise):
+    graph, pairs = case
+    value = {"--edges": ",".join(pairs), "--pair": ",".join(pairs[:1]), "--vertex": "0"}[flag]
+    graph = graph if graph_noise is None else graph_noise
+    value = value if value_noise is None else value_noise
+    _assert_well_behaved(["orbit", f"--graph={graph}", f"{flag}={value}"])
+
+
+@FUZZ
+@given(case=graph_and_pairs(), graph_noise=sometimes(graph_noise), edges_noise=sometimes(flag_noise))
+def test_verify_command_never_escapes(case, graph_noise, edges_noise):
+    graph, pairs = case
+    graph = graph if graph_noise is None else graph_noise
+    edges = ",".join(pairs) if edges_noise is None else edges_noise
+    _assert_well_behaved(["verify", f"--graph={graph}", f"--edges={edges}"])

@@ -7,6 +7,7 @@ coloured search or into the orbit walk must surface as failed checks.
 """
 
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -18,9 +19,10 @@ import smallgraphs
 from oracles import enumerated_orbit, stabilizer_order
 from autorbit import ratio
 from autorbit.canon import edge_set_stabilizer_order
+from autorbit.cli import main
 from autorbit.errors import VertexRangeError
-from autorbit.ermodel import sample_er
-from autorbit.graphs import all_pairs, from_edge_mask
+from autorbit.ermodel import sample_er, verify_proof_chain
+from autorbit.graphs import all_pairs, emit_graph6, from_edge_mask
 from autorbit.perms import brute_force_aut
 from autorbit.ratio import sweep_verify, verify_ratio_identity
 
@@ -159,6 +161,19 @@ def test_stabilizer_order_that_does_not_divide_fails_the_check(monkeypatch):
     graph, dset = _matched_k7()
     report = verify_ratio_identity(graph, dset)
     assert (report.ao_g, report.ratio, report.holds) == (0, None, False)
+
+
+def test_proof_chain_reports_failed_checks_when_the_orbit_is_unsized(monkeypatch, capsys):
+    monkeypatch.setattr(ratio, "edge_set_stabilizer_order", lambda g, p: 10**6)
+    graph, dset = _matched_k7()
+    report = verify_proof_chain(graph, dset)
+    assert not report.all_hold
+    assert any(not check.holds for check in report.checks)
+    edges = ",".join(f"{u}-{v}" for u, v in sorted(dset))
+    assert main(["proof-chain", "--graph", emit_graph6(graph), "--edges", edges]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["all_hold"] is False
+    assert [check["holds"] for check in results["checks"]] == [False] * 3
 
 
 def test_orbit_walk_off_by_one_fails_the_check(monkeypatch):
