@@ -167,15 +167,16 @@ def _search(n: int, rows: tuple[int, ...], layers: int = 1) -> _SearchOutcome:
     return outcome
 
 
-def _group(n: int, outcome: _SearchOutcome) -> PermGroup:
-    generators, order = reduce_generators(outcome.generators, outcome.base)
-    group = perm_group(generators, degree=n)
-    group.__dict__["_order"] = order
-    return group
+def _outcome(graph: Graph) -> _SearchOutcome:
+    """The graph's search, run once per Graph object and kept on it like ``adjacency``.
 
-
-def _certificate(n: int, outcome: _SearchOutcome) -> bytes:
-    return n.to_bytes(4, "big") + _pack_bits(outcome.best_bits, math.comb(n, 2))
+    The group and the certificate both derive from it; a separately built
+    equal graph is searched again.
+    """
+    outcome = graph.__dict__.get("_search_outcome")
+    if outcome is None:
+        outcome = graph.__dict__["_search_outcome"] = _search(graph.n, graph.adjacency)
+    return outcome
 
 
 def automorphism_group(graph: Graph) -> PermGroup:
@@ -184,13 +185,11 @@ def automorphism_group(graph: Graph) -> PermGroup:
     The harvest is reduced along the search's first-path base, which also
     yields the order the group carries.
     """
-    return _group(graph.n, _search(graph.n, graph.adjacency))
-
-
-def symmetry(graph: Graph) -> tuple[PermGroup, bytes]:
-    """Automorphism group and canonical certificate from one search."""
-    outcome = _search(graph.n, graph.adjacency)
-    return _group(graph.n, outcome), _certificate(graph.n, outcome)
+    outcome = _outcome(graph)
+    generators, order = reduce_generators(outcome.generators, outcome.base)
+    group = perm_group(generators, degree=graph.n)
+    group.__dict__["_order"] = order
+    return group
 
 
 def edge_set_stabilizer_order(graph: Graph, pairs) -> int:
@@ -223,7 +222,8 @@ def canonical_form(graph: Graph) -> bytes:
     Layout: 4 bytes of vertex count, then the canonically relabeled upper
     triangle (row-major) packed big-endian.
     """
-    return _certificate(graph.n, _search(graph.n, graph.adjacency))
+    n = graph.n
+    return n.to_bytes(4, "big") + _pack_bits(_outcome(graph).best_bits, math.comb(n, 2))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .canon import automorphism_group, canonical_form, symmetry
+from .canon import automorphism_group, canonical_form
 from .errors import AutorbitError
 from .ermodel import (
     count_labeled_copies,
@@ -44,7 +45,10 @@ def load_graph(spec: str) -> Graph:
         is_file = path.is_file()
     except OSError:  # a long graph6 literal can exceed the file-name limit
         is_file = False
-    text = path.read_text() if is_file else spec
+    try:
+        text = path.read_text() if is_file else spec
+    except (OSError, UnicodeDecodeError) as exc:
+        raise AutorbitError(f"cannot read graph file {spec!r}: {exc}") from exc
     stripped = text.strip()
     if not stripped:
         raise AutorbitError("empty graph specification")
@@ -105,13 +109,13 @@ def _labels(args) -> list[str] | None:
 
 def _cmd_aut(args):
     graph = load_graph(args.graph)
-    group, certificate = symmetry(graph)
+    group = automorphism_group(graph)
     results = {
         "n": graph.n,
         "m": graph.m,
         "order": str(group.order),
         "generators": [list(g) for g in group.generators],
-        "certificate": certificate.hex(),
+        "certificate": canonical_form(graph).hex(),
     }
     return {"graph": args.graph}, results, False
 
@@ -152,17 +156,18 @@ def _cmd_sweep(args):
     )
     if "random" in policies and args.seed is None:
         raise AutorbitError("--seed is required when the random policy is used")
-    out = sweep_verify(
-        args.n,
-        policies,
-        samples=args.samples,
-        seed=args.seed,
-        threads=args.threads,
-        collect_rows=args.csv is not None,
+    sweep = functools.partial(
+        sweep_verify, args.n, policies, samples=args.samples, seed=args.seed, threads=args.threads
     )
-    if args.csv is not None:
-        summary, rows = out
-        with open(args.csv, "w", newline="") as fh:
+    if args.csv is None:
+        summary = sweep()
+    else:
+        try:  # before the sweep, so a bad path costs no work
+            fh = open(args.csv, "w", newline="")
+        except OSError as exc:
+            raise AutorbitError(f"cannot write --csv file: {exc}") from exc
+        with fh:
+            summary, rows = sweep(collect_rows=True)
             writer = csv.writer(fh)
             writer.writerow(
                 ["mask", "deleted", "aut_g", "ao_g", "aut_minus", "ao_minus", "ratio", "holds"]
@@ -180,8 +185,6 @@ def _cmd_sweep(args):
                         holds,
                     ]
                 )
-    else:
-        summary = out
     inputs = {
         "n": args.n,
         "subsets": args.subsets,
@@ -281,14 +284,13 @@ def _cmd_recover_aut(args):
     deck = augmented_deck(graph)
     true_order = automorphism_group(graph).order
     mults = deck.multiplicities()
-    cache = {(c.graph.n, c.graph.mask): grp for c, (grp, _) in zip(deck.cards, deck.symmetries)}
     vertices = [args.vertex] if args.vertex is not None else list(range(graph.n))
     entries = []
     failed = False
     for v in vertices:
         card = deck.cards[v]
         multiplicity = mults[deck.certificates[v]]
-        recovered = recover_aut_order(card.graph, multiplicity, card.deleted_edges, cache)
+        recovered = recover_aut_order(card.graph, multiplicity, card.deleted_edges)
         ok = recovered == true_order
         failed = failed or not ok
         entries.append(

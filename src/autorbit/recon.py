@@ -16,12 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .canon import automorphism_group, symmetry
+from .canon import automorphism_group, canonical_form
 from .errors import NotASubsetError, NotDivisibleError, PreconditionError
 from .graphs import EdgeSet, Graph, edge_set
 from .orbits import edge_set_orbit, vertex_orbit
-from .perms import PermGroup
-from .ratio import AutCache, cached_aut_group
 
 
 @dataclass(frozen=True)
@@ -38,7 +36,6 @@ class DeckClass:
     certificate: bytes
     representative: Card
     multiplicity: int
-    group: PermGroup  # the representative's automorphism group
 
 
 @dataclass(frozen=True)
@@ -47,14 +44,9 @@ class Deck:
     cards: tuple[Card, ...]
 
     @cached_property
-    def symmetries(self) -> tuple[tuple[PermGroup, bytes], ...]:
-        """Each card's automorphism group and certificate from one search, in card order."""
-        return tuple(symmetry(card.graph) for card in self.cards)
-
-    @cached_property
     def certificates(self) -> tuple[bytes, ...]:
         """Each card's isomorphism certificate, in card order."""
-        return tuple(certificate for _, certificate in self.symmetries)
+        return tuple(canonical_form(card.graph) for card in self.cards)
 
     @cached_property
     def classes(self) -> tuple[DeckClass, ...]:
@@ -63,7 +55,7 @@ class Deck:
         for i, cert in enumerate(self.certificates):
             by_cert.setdefault(cert, []).append(i)
         return tuple(
-            DeckClass(cert, self.cards[idx[0]], len(idx), self.symmetries[idx[0]][0])
+            DeckClass(cert, self.cards[idx[0]], len(idx))
             for cert, idx in sorted(by_cert.items())
         )
 
@@ -71,9 +63,7 @@ class Deck:
         return {cls.certificate: cls.multiplicity for cls in self.classes}
 
     def blind(self) -> "Deck":
-        deck = Deck(self.kind, tuple(Card(c.graph) for c in self.cards))
-        deck.__dict__["symmetries"] = self.symmetries  # same graphs, same searches
-        return deck
+        return Deck(self.kind, tuple(Card(c.graph) for c in self.cards))
 
 
 def vertex_deleted(graph: Graph, v: int) -> Graph:
@@ -147,12 +137,7 @@ def check_vertex_edge_orbit_identity(graph: Graph) -> bool:
     return True
 
 
-def recover_aut_order(
-    card: Graph,
-    multiplicity: int,
-    deleted: EdgeSet,
-    cache: AutCache | None = None,
-) -> int:
+def recover_aut_order(card: Graph, multiplicity: int, deleted: EdgeSet) -> int:
     """Automorphism count of the original graph from one augmented card.
 
     ``deleted`` is the incident edge set that was removed to form the card
@@ -164,7 +149,7 @@ def recover_aut_order(
     overlap = dset & card.edges
     if overlap:
         raise NotASubsetError(f"deleted pairs {sorted(overlap)} are still edges of the card")
-    group = cached_aut_group(card, cache)
+    group = automorphism_group(card)
     ao = edge_set_orbit(group, dset).size
     numerator = group.order * multiplicity
     if numerator % ao:
@@ -268,7 +253,7 @@ def unique_extension_filter(deck: Deck, origins: str = "isolated") -> ExtensionF
         gap = total_edges - card.m
         ext_classes: list[ExtensionClass] = []
         if gap >= 1:
-            group = cls.group
+            group = automorphism_group(card)
             remaining = _candidate_sets(card, gap, origins)
             seen: set[EdgeSet] = set()
             for cand in sorted(remaining, key=lambda s: tuple(sorted(s))):
@@ -277,7 +262,7 @@ def unique_extension_filter(deck: Deck, origins: str = "isolated") -> ExtensionF
                 orbit = edge_set_orbit(group, cand)
                 seen.update(orbit.elements)
                 extended = Graph(card.n, card.edges | cand)
-                ext_group, ext_certificate = symmetry(extended)
+                ext_group = automorphism_group(extended)
                 ao_ext = edge_set_orbit(ext_group, cand).size
                 ext_classes.append(
                     ExtensionClass(
@@ -285,7 +270,7 @@ def unique_extension_filter(deck: Deck, origins: str = "isolated") -> ExtensionF
                         orbit_size=orbit.size,
                         ratio=Fraction(cls.multiplicity * group.order, orbit.size),
                         extended_aut=ext_group.order,
-                        extended_certificate=ext_certificate,
+                        extended_certificate=canonical_form(extended),
                         multiplicity_consistent=ao_ext == cls.multiplicity,
                     )
                 )

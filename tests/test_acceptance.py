@@ -216,12 +216,11 @@ def test_criterion_8_deck_recovery():
         group = automorphism_group(graph)
         true_order = group.order
         mults = deck.multiplicities()
-        cache = {}
         for card in deck.cards:
             multiplicity = mults[canonical_form(card.graph)]
             if multiplicity != vertex_orbit(group, card.origin_vertex).size:
                 ok = False
-            if recover_aut_order(card.graph, multiplicity, card.deleted_edges, cache) != true_order:
+            if recover_aut_order(card.graph, multiplicity, card.deleted_edges) != true_order:
                 ok = False
 
     for n in range(3, 7):

@@ -304,3 +304,26 @@ def test_out_of_range_counts_exit_2(capsys, argv):
     assert code == 2
     assert not out
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_non_utf8_graph_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "binary.g6"
+    path.write_bytes(b"\xff\xfe\x00\x01")
+    code, out, err = run_cli(capsys, "aut", "--graph", str(path))
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_unwritable_csv_path_exits_2_before_the_sweep(capsys, tmp_path, monkeypatch):
+    from autorbit import cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the --csv path was checked")
+
+    monkeypatch.setattr(cli, "sweep_verify", no_sweep)
+    csv_path = tmp_path / "no" / "such" / "dir" / "x.csv"
+    code, out, err = run_cli(capsys, "sweep", "--n", "3", "--csv", str(csv_path))
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
