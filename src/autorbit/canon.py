@@ -3,13 +3,17 @@
 The engine is classic individualization-refinement: refine an ordered vertex
 partition to its coarsest equitable refinement, pick the first smallest
 non-singleton cell, individualize each of its vertices in turn, and recurse.
-Discrete partitions (leaves) induce a relabeling of the graph; the
-certificate is the lexicographically smallest relabeled adjacency bitstring
-over all leaves, and automorphism generators are harvested whenever two
-leaves produce identical bitstrings. Already-discovered automorphisms that
-fix the current branching sequence pointwise are used to skip equivalent
-siblings, so the harvest is strong for the first path's branching sequence
-and the group order is the product of orbit lengths along it. A second pair
+Refinement counts neighbours only into the cells that are new since its
+last pass (at a search node, just the individualized vertex), which gives
+the same cells in the same order as recounting every cell. Discrete
+partitions (leaves) induce a relabeling of the graph, built in O(n + m)
+from neighbour lists; the certificate is the lexicographically smallest
+relabeled adjacency bitstring over all leaves, and automorphism generators
+are harvested whenever two leaves produce identical bitstrings.
+Already-discovered automorphisms that fix the current branching sequence
+pointwise are used to skip equivalent siblings (a node tests each generator
+once), so the harvest is strong for the first path's branching sequence and
+the group order is the product of orbit lengths along it. A second pair
 colour rides in the same row ints, one n-bit layer per colour, so the same
 search finds the automorphisms that keep an edge set in place. Correctness
 before speed: the whole engine is validated against the brute-force
@@ -32,49 +36,76 @@ def unit_partition(n: int) -> OrderedPartition:
 
 
 def _validate_partition(n: int, cells: OrderedPartition) -> OrderedPartition:
-    seen: set[int] = set()
-    out = []
-    for cell in cells:
-        cl = list(cell)
-        out.append(cl)
-        seen.update(cl)
-    if len(seen) != n or seen != set(range(n)) or sum(len(c) for c in out) != n:
+    out = [list(cell) for cell in cells]
+    members = [v for cell in out for v in cell]
+    if len(members) != n or set(members) != set(range(n)):
         raise ValueError("cells must partition 0..n-1 without repeats")
     return out
 
 
-def _refine(rows: tuple[int, ...], cells: OrderedPartition, layers: int = 1) -> OrderedPartition:
+def _bits(x: int) -> list[int]:
+    """Indices of the set bits of x, lowest first."""
+    out = []
+    while x:
+        out.append((x & -x).bit_length() - 1)
+        x &= x - 1
+    return out
+
+
+def _refine(
+    rows: tuple[int, ...], cells: OrderedPartition, layers: int = 1, new: list[int] | None = None
+) -> OrderedPartition:
     """Coarsest equitable refinement of an ordered partition.
 
     A vertex's row holds its neighbours under each pair colour, colour k in
     bits k*n..k*n+n-1. Cells split by the vector of neighbour counts into
     every current cell, colour by colour; fragments are ordered by that
     signature, so the result is deterministic.
+
+    Only counts into the ``new`` cells (indices, all by default) are taken,
+    only cells next to one of them are examined, and each pass's new cells
+    are the fragments of the cells it split. A cell's members already agree
+    on their counts into every other cell, so the new counts group them, and
+    sort the fragments, as the full vector would. Passing just a singleton
+    [v] split off an equitable partition (sorted, as returned here) is exact
+    too: the count into the rest of v's old cell follows from the count into
+    [v], which comes first.
     """
-    cells = [sorted(c) for c in cells]
     n = len(rows)
-    while True:
-        masks = [sum(1 << v for v in c) for c in cells]
+    if new is None:  # else the cells come sorted and non-empty, as this returns them
+        cells = [sorted(c) for c in cells if c]
+    masks = [0] * len(cells)  # vertex bitmask per cell, 0 until needed
+    pending = range(len(cells)) if new is None else new
+    while pending:
+        near = 0  # neighbours of the new cells, under any colour
+        for j in pending:
+            masks[j] = masks[j] or sum(1 << w for w in cells[j])
+            for w in cells[j]:
+                near |= rows[w]
+        counted = [masks[j] << (k * n) for k in range(layers) for j in pending]
         for k in range(1, layers):
-            masks += [m << (k * n) for m in masks[: len(cells)]]
-        new_cells: OrderedPartition = []
-        changed = False
-        for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:
-                row = rows[v]
-                sig = tuple((row & m).bit_count() for m in masks)
-                groups.setdefault(sig, []).append(v)
-            if len(groups) > 1:
-                changed = True
-            for sig in sorted(groups):
-                new_cells.append(groups[sig])
-        if not changed:
-            return new_cells
-        cells = new_cells
+            near |= near >> (k * n)
+        out: OrderedPartition = []
+        out_masks: list[int] = []
+        pending = []
+        for cell, mask in zip(cells, masks):
+            if len(cell) > 1:
+                mask = mask or sum(1 << v for v in cell)
+                if mask & near:
+                    groups: dict[tuple[int, ...], list[int]] = {}
+                    for v in cell:
+                        sig = tuple([(rows[v] & m).bit_count() for m in counted])
+                        groups.setdefault(sig, []).append(v)
+                    if len(groups) > 1:
+                        for sig in sorted(groups):
+                            pending.append(len(out))
+                            out.append(groups[sig])
+                            out_masks.append(0)
+                        continue
+            out.append(cell)
+            out_masks.append(mask)
+        cells, masks = out, out_masks
+    return cells
 
 
 def color_refine(graph: Graph, partition: OrderedPartition | None = None) -> OrderedPartition:
@@ -89,6 +120,7 @@ class _SearchOutcome:
     base: tuple[int, ...] = ()
     best_bits: int = 0
     leaves: int = 0
+    nodes: int = 0
 
 
 def _search(n: int, rows: tuple[int, ...], layers: int = 1) -> _SearchOutcome:
@@ -101,15 +133,21 @@ def _search(n: int, rows: tuple[int, ...], layers: int = 1) -> _SearchOutcome:
     best_bits = 0
     best_lab: Perm = ident
     # a leaf's bits are the relabeled upper triangle of each colour in turn
-    layer_rows = [rows] + [tuple(row >> (k * n) for row in rows) for k in range(1, layers)]
+    full = (1 << n) - 1
+    neighbours = [[_bits(row >> (k * n) & full) for row in rows] for k in range(layers)]
 
     def leaf_bits(lab: Perm) -> int:
+        weight = [0] * n  # bit of each vertex in a relabeled row: n - 1 - its position
+        for i, v in enumerate(lab):
+            weight[v] = n - 1 - i
         bits = 0
-        for layer in layer_rows:
-            for i in range(n):
-                row = layer[lab[i]]
-                for j in range(i + 1, n):
-                    bits = (bits << 1) | ((row >> lab[j]) & 1)
+        for layer in neighbours:
+            for i, v in enumerate(lab):
+                row = 0
+                for u in layer[v]:
+                    if weight[u] < n - 1 - i:
+                        row |= 1 << weight[u]
+                bits = bits << (n - 1 - i) | row
         return bits
 
     def harvest(lab_a: Perm, lab_b: Perm) -> None:
@@ -120,9 +158,11 @@ def _search(n: int, rows: tuple[int, ...], layers: int = 1) -> _SearchOutcome:
         if gt != ident:
             gens.append(gt)
 
-    def recurse(cells: OrderedPartition, base: tuple[int, ...]) -> None:
+    def recurse(cells: OrderedPartition, base: tuple[int, ...], new: list[int] | None,
+                inherited: list[Perm], scanned: int) -> None:
         nonlocal first_bits, first_lab, best_bits, best_lab
-        cells = _refine(rows, cells, layers)
+        cells = _refine(rows, cells, layers, new)
+        outcome.nodes += 1
         target = -1
         target_size = n + 1
         for i, cell in enumerate(cells):
@@ -152,17 +192,24 @@ def _search(n: int, rows: tuple[int, ...], layers: int = 1) -> _SearchOutcome:
         head = cells[:target]
         cell = cells[target]
         tail = cells[target + 1:]
-        tried: list[int] = []
+        # generators fixing ``base``: the parent's that fix its last point (none at
+        # the root), then each one harvested since; ``orbit``: tried siblings' orbit
+        fixers = [g for g in inherited if g[base[-1]] == base[-1]]
+        orbit: set[int] = set()
         for v in cell:
-            if tried:
-                fixers = [g for g in gens if all(g[b] == b for b in base)]
-                if fixers and v in point_orbit(tried, fixers):
+            if orbit:
+                fresh = [g for g in gens[scanned:] if all(g[b] == b for b in base)]
+                scanned = len(gens)
+                if fresh:
+                    fixers += fresh
+                    orbit = point_orbit(orbit, fixers)
+                if v in orbit:
                     continue
             rest = [w for w in cell if w != v]
-            recurse(head + [[v], rest] + tail, base + (v,))
-            tried.append(v)
+            recurse(head + [[v], rest] + tail, base + (v,), [target], fixers, scanned)
+            orbit |= point_orbit([v], fixers)
 
-    recurse(unit_partition(n), ())
+    recurse(unit_partition(n), (), None, [], 0)
     outcome.best_bits = best_bits
     return outcome
 
@@ -183,12 +230,15 @@ def automorphism_group(graph: Graph) -> PermGroup:
     """Automorphism group computed by individualization-refinement search.
 
     The harvest is reduced along the search's first-path base, which also
-    yields the order the group carries.
+    yields the order the group carries. The group is kept on the graph next
+    to its search.
     """
-    outcome = _outcome(graph)
-    generators, order = reduce_generators(outcome.generators, outcome.base)
-    group = perm_group(generators, degree=graph.n)
-    group.__dict__["_order"] = order
+    group = graph.__dict__.get("_aut_group")
+    if group is None:
+        outcome = _outcome(graph)
+        generators, order = reduce_generators(outcome.generators, outcome.base)
+        group = graph.__dict__["_aut_group"] = perm_group(generators, degree=graph.n)
+        group.__dict__["_order"] = order
     return group
 
 
@@ -200,20 +250,10 @@ def edge_set_stabilizer_order(graph: Graph, pairs) -> int:
     pairs may be edges, non-edges or a mix of both.
     """
     n = graph.n
-    colour = [0] * n
-    for u, v in edge_set(pairs, n):
-        colour[u] |= 1 << v
-        colour[v] |= 1 << u
+    colour = Graph(n, edge_set(pairs, n)).adjacency
     rows = tuple(row | (c << n) for row, c in zip(graph.adjacency, colour))
     outcome = _search(n, rows, 2)
     return reduce_generators(outcome.generators, outcome.base)[1]
-
-
-def _pack_bits(bits: int, nbits: int) -> bytes:
-    nbytes = (nbits + 7) // 8
-    if nbytes == 0:
-        return b""
-    return (bits << (nbytes * 8 - nbits)).to_bytes(nbytes, "big")
 
 
 def canonical_form(graph: Graph) -> bytes:
@@ -223,7 +263,10 @@ def canonical_form(graph: Graph) -> bytes:
     triangle (row-major) packed big-endian.
     """
     n = graph.n
-    return n.to_bytes(4, "big") + _pack_bits(_outcome(graph).best_bits, math.comb(n, 2))
+    nbits = math.comb(n, 2)
+    nbytes = (nbits + 7) // 8
+    packed = _outcome(graph).best_bits << (nbytes * 8 - nbits)
+    return n.to_bytes(4, "big") + packed.to_bytes(nbytes, "big")
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

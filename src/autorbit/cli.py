@@ -169,22 +169,11 @@ def _cmd_sweep(args):
         with fh:
             summary, rows = sweep(collect_rows=True)
             writer = csv.writer(fh)
-            writer.writerow(
-                ["mask", "deleted", "aut_g", "ao_g", "aut_minus", "ao_minus", "ratio", "holds"]
-            )
+            writer.writerow("mask deleted aut_g ao_g aut_minus ao_minus ratio holds".split())
             for mask, dset, aut_g, ao_g, aut_minus, ao_minus, holds in rows:
-                writer.writerow(
-                    [
-                        mask,
-                        ";".join(f"{u}-{v}" for u, v in dset),
-                        aut_g,
-                        ao_g,
-                        aut_minus,
-                        ao_minus,
-                        str(Fraction(aut_g, ao_g)) if ao_g else "",
-                        holds,
-                    ]
-                )
+                deleted = ";".join(f"{u}-{v}" for u, v in dset)
+                ratio = str(Fraction(aut_g, ao_g)) if ao_g else ""
+                writer.writerow([mask, deleted, aut_g, ao_g, aut_minus, ao_minus, ratio, holds])
     inputs = {
         "n": args.n,
         "subsets": args.subsets,

@@ -135,22 +135,14 @@ class PermGroup:
         only because ``perfbench/tracing.py`` lists it in ``SPANNED_ATTRS``.
         """
         npairs = self.degree * (self.degree - 1) // 2
-        nbytes = (npairs + 7) // 8
-        tables = []
-        for table in self.pair_action:
-            per_gen = []
-            for j in range(nbytes):
-                base = 8 * j
-                width = min(8, npairs - base)
-                entries = [0] * 256
-                for b in range(1, 256):
-                    low = b & -b
-                    i = low.bit_length() - 1
-                    rest = entries[b ^ low]
-                    entries[b] = rest | (1 << table[base + i]) if i < width else rest
-                per_gen.append(tuple(entries))
-            tables.append(tuple(per_gen))
-        return tuple(tables)
+        return tuple(
+            tuple(
+                tuple(sum(1 << table[j + i] for i in range(min(8, npairs - j)) if b >> i & 1)
+                      for b in range(256))
+                for j in range(0, npairs, 8)
+            )
+            for table in self.pair_action
+        )
 
     def __iter__(self) -> Iterator[Perm]:
         return iter(self.elements)

@@ -74,3 +74,37 @@ def stabilizer_order(group: PermGroup, x) -> int:
         return sum(1 for f in group.elements if apply_pair(f, p) == p)
     seed = frozenset(normalize_pair(*p) for p in x)
     return sum(1 for f in group.elements if apply_edge_set(f, seed) == seed)
+
+
+def full_refine(rows: tuple[int, ...], cells: list[list[int]], layers: int = 1) -> list[list[int]]:
+    """Coarsest equitable refinement of an ordered partition, recounting every cell each pass.
+
+    A vertex's row holds its neighbours under each pair colour, colour k in
+    bits k*n..k*n+n-1. Cells split by the vector of neighbour counts into
+    every current cell, colour by colour; fragments are ordered by that
+    signature, so the result is deterministic.
+    """
+    cells = [sorted(c) for c in cells]
+    n = len(rows)
+    while True:
+        masks = [sum(1 << v for v in c) for c in cells]
+        for k in range(1, layers):
+            masks += [m << (k * n) for m in masks[: len(cells)]]
+        new_cells: list[list[int]] = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                row = rows[v]
+                sig = tuple((row & m).bit_count() for m in masks)
+                groups.setdefault(sig, []).append(v)
+            if len(groups) > 1:
+                changed = True
+            for sig in sorted(groups):
+                new_cells.append(groups[sig])
+        if not changed:
+            return new_cells
+        cells = new_cells

@@ -16,7 +16,7 @@ from autorbit import perms
 from autorbit.canon import automorphism_group
 from autorbit.cli import main
 from autorbit.ermodel import verify_proof_chain
-from autorbit.graphs import Graph, emit_graph6, from_edge_mask, new_graph
+from autorbit.graphs import emit_graph6, from_edge_mask
 from autorbit.ratio import verify_ratio_identity
 from autorbit.recon import augmented_deck, recover_aut_order, unique_extension_filter
 
@@ -26,37 +26,17 @@ def sympy_order(group) -> int:
     return PermutationGroup(gens or [Permutation(list(range(group.degree)))]).order()
 
 
-def hypercube(d: int) -> Graph:
-    return new_graph(1 << d, [(v, v | 1 << i) for v in range(1 << d) for i in range(d) if not v >> i & 1])
-
-
-def grid(a: int, b: int) -> Graph:
-    def vertex(i, j):
-        return i * b + j
-
-    edges = [(vertex(i, j), vertex(i, j + 1)) for i in range(a) for j in range(b - 1)]
-    edges += [(vertex(i, j), vertex(i + 1, j)) for i in range(a - 1) for j in range(b)]
-    return new_graph(a * b, edges)
-
-
-def petersen() -> Graph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return new_graph(10, outer + spokes + inner)
-
-
 def families():
-    for n in range(1, 13):
+    for n in range(1, 21):
         yield f"K{n}", smallgraphs.complete(n), math.factorial(n)
         yield f"E{n}", smallgraphs.empty(n), math.factorial(n)
     for d in range(3, 7):
-        yield f"Q{d}", hypercube(d), 2**d * math.factorial(d)
-    yield "Petersen", petersen(), 120
+        yield f"Q{d}", smallgraphs.hypercube(d), 2**d * math.factorial(d)
+    yield "Petersen", smallgraphs.petersen(), 120
     for n in range(3, 21):
         yield f"C{n}", smallgraphs.cycle(n), 2 * n
     for a, b in ((2, 2), (3, 3), (5, 5), (2, 3), (3, 5), (4, 7)):
-        yield f"grid{a}x{b}", grid(a, b), 8 if a == b else 4
+        yield f"grid{a}x{b}", smallgraphs.grid(a, b), 8 if a == b else 4
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import smallgraphs
-from autorbit import canon
+from autorbit import canon, perms
 from autorbit.canon import automorphism_group, canonical_form, is_isomorphic
 from autorbit.ermodel import sample_er
 from autorbit.recon import augmented_deck, recover_aut_order
@@ -66,3 +66,20 @@ def test_memo_is_per_object_not_global(searches):
     assert canonical_form(a) == canonical_form(b)
     assert automorphism_group(a).order == automorphism_group(b).order
     assert searches() == 2
+
+
+def test_reduced_group_is_kept_on_the_graph(monkeypatch):
+    reductions = []
+    real = perms.reduce_generators
+
+    def counting(*args, **kwargs):
+        reductions.append(args)
+        return real(*args, **kwargs)
+
+    for module in (perms, canon):
+        monkeypatch.setattr(module, "reduce_generators", counting)
+    g = smallgraphs.twin_hubs()
+    group = automorphism_group(g)
+    assert automorphism_group(g) is group
+    assert group.order == 8
+    assert len(reductions) == 1

@@ -1,0 +1,117 @@
+"""Search outcomes pinned to values captured before the split-cell refinement.
+
+Refinement, leaves and sibling pruning may get cheaper, but no certificate,
+generator, base, order or pruning decision may change. ``golden/search.json``
+holds, from the engine that recounted every cell on every pass:
+
+- ``autorbit aut`` reports with ``timing_ms`` dropped;
+- ``edge_set_stabilizer_order`` on seeded (G, E') at n = 7-12;
+- a digest per raw ``_search`` outcome (generators, base, best leaf, leaves)
+  on seeded graphs at n = 0-40, plain and with a second pair colour;
+- search nodes (``_refine`` calls, counted with a spy) and leaves on five
+  families.
+
+The file is JSON of the functions below; rewrite it only for a deliberate
+change of search outcome or report format.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import random
+from pathlib import Path
+
+import pytest
+
+import smallgraphs
+from autorbit import canon
+from autorbit.cli import main
+from autorbit.graphs import all_pairs, emit_graph6, new_graph
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "search.json").read_text())
+
+
+def seeded_gnm(rng, n, m):
+    return new_graph(n, rng.sample(all_pairs(n), m))
+
+
+def aut_graphs():
+    rng = random.Random("golden-aut")
+    graphs = {
+        "C64": smallgraphs.cycle(64),
+        "grid8x8": smallgraphs.grid(8, 8),
+        "Q5": smallgraphs.hypercube(5),
+        "K8": smallgraphs.complete(8),
+        "E9": smallgraphs.empty(9),
+        "Petersen": smallgraphs.petersen(),
+    }
+    for copy in range(2):
+        graphs[f"G(60,240)#{copy}"] = seeded_gnm(rng, 60, 240)
+    return graphs
+
+
+def aut_reports():
+    reports = {}
+    for name, graph in aut_graphs().items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["aut", "--graph", emit_graph6(graph)]) == 0
+        report = json.loads(out.getvalue())
+        del report["timing_ms"]
+        reports[name] = json.dumps(report, sort_keys=True)
+    return reports
+
+
+def stabilizer_orders():
+    rng = random.Random("golden-stabilizer")
+    cases = []
+    for _ in range(20):
+        graph = smallgraphs.seeded_graph(rng, rng.randint(7, 12))
+        pairs = sorted(rng.sample(all_pairs(graph.n), rng.randint(1, 4)))
+        order = canon.edge_set_stabilizer_order(graph, pairs)
+        cases.append([emit_graph6(graph), [list(p) for p in pairs], str(order)])
+    return cases
+
+
+def outcome_digests():
+    rng = random.Random("golden-outcomes")
+    digests = []
+    for n in range(41):
+        for _ in range(3):
+            graph = smallgraphs.seeded_graph(rng, n)
+            pairs = rng.sample(all_pairs(n), rng.randint(0, math.comb(n, 2)) // 4)
+            for layers, rows in ((1, graph.adjacency), (2, smallgraphs.two_colour_rows(graph, pairs))):
+                outcome = canon._search(n, rows, layers)
+                payload = (outcome.generators, outcome.base, outcome.best_bits, outcome.leaves)
+                digests.append(hashlib.sha256(repr(payload).encode()).hexdigest()[:16])
+    return digests
+
+
+PINNED = {
+    "E8": smallgraphs.empty(8),
+    "K8": smallgraphs.complete(8),
+    "Q4": smallgraphs.hypercube(4),
+    "Petersen": smallgraphs.petersen(),
+    "C64": smallgraphs.cycle(64),
+}
+
+
+def test_aut_reports_match_golden():
+    assert aut_reports() == GOLDEN["aut_reports"]
+
+
+def test_edge_set_stabilizer_orders_match_golden():
+    assert stabilizer_orders() == GOLDEN["stabilizer_orders"]
+
+
+def test_raw_search_outcomes_match_golden():
+    assert outcome_digests() == GOLDEN["outcome_digests"]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_nodes_and_leaves_match_pins(name):
+    graph = PINNED[name]
+    outcome = canon._search(graph.n, graph.adjacency)
+    assert [outcome.nodes, outcome.leaves] == GOLDEN["nodes_leaves"][name]

@@ -1,0 +1,55 @@
+"""Certificates against networkx's VF2 isomorphism test on seeded graphs at n = 7-10."""
+
+import math
+import random
+
+import networkx as nx
+
+from autorbit.canon import canonical_form
+from autorbit.graphs import Graph, all_pairs, new_graph
+
+
+def to_nx(graph: Graph) -> nx.Graph:
+    out = nx.Graph()
+    out.add_nodes_from(range(graph.n))
+    out.add_edges_from(graph.edges)
+    return out
+
+
+def relabelled(graph: Graph, rng: random.Random) -> Graph:
+    perm = list(range(graph.n))
+    rng.shuffle(perm)
+    return new_graph(graph.n, [(perm[u], perm[v]) for u, v in graph.edges])
+
+
+def degree_preserving_swaps(graph: Graph, rng: random.Random, swaps: int) -> Graph:
+    """Replace edges ab, cd by ad, cb where that keeps the graph simple."""
+    edges = set(graph.edges)
+    for _ in range(swaps):
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        ad, cb = tuple(sorted((a, d))), tuple(sorted((c, b)))
+        if len({a, b, c, d}) == 4 and ad not in edges and cb not in edges:
+            edges -= {(a, b), tuple(sorted((c, d)))}
+            edges |= {ad, cb}
+    return Graph(graph.n, frozenset(edges))
+
+
+def degrees(graph: Graph) -> list[int]:
+    return sorted(row.bit_count() for row in graph.adjacency)
+
+
+def test_certificates_agree_with_vf2():
+    rng = random.Random("vf2-differential")
+    verdicts = []
+    for _ in range(300):
+        n = rng.randint(7, 10)
+        g = new_graph(n, rng.sample(all_pairs(n), rng.randint(2, math.comb(n, 2) - 2)))
+        assert canonical_form(relabelled(g, rng)) == canonical_form(g), (n, g.mask)
+        h = relabelled(degree_preserving_swaps(g, rng, rng.randint(1, 3)), rng)
+        assert degrees(h) == degrees(g)
+        same = canonical_form(h) == canonical_form(g)
+        assert same == nx.is_isomorphic(to_nx(g), to_nx(h)), (n, g.mask, h.mask)
+        verdicts.append(same)
+    assert 30 <= sum(verdicts) <= 270
