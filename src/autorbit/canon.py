@@ -8,16 +8,16 @@ last pass (at a search node, just the individualized vertex), which gives
 the same cells in the same order as recounting every cell. Discrete
 partitions (leaves) induce a relabeling of the graph, built in O(n + m)
 from neighbour lists; the certificate is the lexicographically smallest
-relabeled adjacency bitstring over all leaves, and automorphism generators
-are harvested whenever two leaves produce identical bitstrings.
-Already-discovered automorphisms that fix the current branching sequence
-pointwise are used to skip equivalent siblings (a node tests each generator
-once), so the harvest is strong for the first path's branching sequence and
-the group order is the product of orbit lengths along it. A second pair
-colour rides in the same row ints, one n-bit layer per colour, so the same
-search finds the automorphisms that keep an edge set in place. Correctness
-before speed: the whole engine is validated against the brute-force
-definition on every small graph.
+relabeled adjacency bitstring over all leaves. A leaf whose bitstring equals
+the first leaf's yields an automorphism, and the search jumps back to the
+first-path node its path left. Known automorphisms fixing the current
+branching sequence skip equivalent siblings, so the at most n - 1 harvested
+generators are strong for the first path's branching sequence and the group
+order is the product of orbit lengths along it. A second pair colour
+rides in the same row ints, one n-bit layer per colour, so the same search
+finds the automorphisms that keep an edge set in place. Correctness before
+speed: the whole engine is validated against the brute-force definition on
+every small graph.
 """
 
 from __future__ import annotations
@@ -25,10 +25,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .errors import CapExceededError
 from .graphs import Graph, edge_set
-from .perms import Perm, PermGroup, identity, perm_group, point_orbit, reduce_generators
+from .perms import Perm, PermGroup, perm_group, point_orbit, reduce_generators
 
 OrderedPartition = list[list[int]]
+
+# one stack frame per search level; below the interpreter's default recursion
+# limit of 1000, with room for the callers' frames
+MAX_SEARCH_DEPTH = 800
 
 
 def unit_partition(n: int) -> OrderedPartition:
@@ -125,13 +130,11 @@ class _SearchOutcome:
 
 def _search(n: int, rows: tuple[int, ...], layers: int = 1) -> _SearchOutcome:
     """Individualization-refinement over rows that stack ``layers`` pair colours."""
-    ident = identity(n)
     outcome = _SearchOutcome()
     gens = outcome.generators
     first_bits: int | None = None
-    first_lab: Perm = ident
+    first_lab: Perm = ()
     best_bits = 0
-    best_lab: Perm = ident
     # a leaf's bits are the relabeled upper triangle of each colour in turn
     full = (1 << n) - 1
     neighbours = [[_bits(row >> (k * n) & full) for row in rows] for k in range(layers)]
@@ -150,17 +153,12 @@ def _search(n: int, rows: tuple[int, ...], layers: int = 1) -> _SearchOutcome:
                 bits = bits << (n - 1 - i) | row
         return bits
 
-    def harvest(lab_a: Perm, lab_b: Perm) -> None:
-        g = [0] * n
-        for i in range(n):
-            g[lab_a[i]] = lab_b[i]
-        gt = tuple(g)
-        if gt != ident:
-            gens.append(gt)
-
-    def recurse(cells: OrderedPartition, base: tuple[int, ...], new: list[int] | None,
-                inherited: list[Perm], scanned: int) -> None:
-        nonlocal first_bits, first_lab, best_bits, best_lab
+    def recurse(cells: OrderedPartition, base: tuple[int, ...], new: list[int] | None) -> int:
+        """Search below a node; return the depth of the first-path node to go on at."""
+        nonlocal first_bits, first_lab, best_bits
+        depth = len(base)
+        if depth == MAX_SEARCH_DEPTH:
+            raise CapExceededError(f"search depth exceeds the cap of {MAX_SEARCH_DEPTH} levels")
         cells = _refine(rows, cells, layers, new)
         outcome.nodes += 1
         target = -1
@@ -176,40 +174,41 @@ def _search(n: int, rows: tuple[int, ...], layers: int = 1) -> _SearchOutcome:
             outcome.leaves += 1
             if first_bits is None:
                 outcome.base = base
-                first_bits = bits
+                first_bits = best_bits = bits
                 first_lab = lab
-                best_bits = bits
-                best_lab = lab
-                return
-            if bits == first_bits:
-                harvest(first_lab, lab)
-            if bits < best_bits:
-                best_bits = bits
-                best_lab = lab
-            elif bits == best_bits and bits != first_bits:
-                harvest(best_lab, lab)
-            return
+            elif bits == first_bits:
+                g = [0] * n
+                for a, b in zip(first_lab, lab):
+                    g[a] = b
+                gens.append(tuple(g))
+                # jump back: this subtree is the image of one already searched
+                return next(i for i, (a, b) in enumerate(zip(base, outcome.base)) if a != b)
+            best_bits = min(best_bits, bits)
+            return depth
         head = cells[:target]
         cell = cells[target]
         tail = cells[target + 1:]
-        # generators fixing ``base``: the parent's that fix its last point (none at
-        # the root), then each one harvested since; ``orbit``: tried siblings' orbit
-        fixers = [g for g in inherited if g[base[-1]] == base[-1]]
+        # ``orbit``: the tried siblings' orbit under ``fixers``, the generators
+        # fixing ``base``, refiltered when the harvest has grown since
+        fixers: list[Perm] = []
+        filtered = 0
         orbit: set[int] = set()
         for v in cell:
             if orbit:
-                fresh = [g for g in gens[scanned:] if all(g[b] == b for b in base)]
-                scanned = len(gens)
-                if fresh:
-                    fixers += fresh
+                if len(gens) > filtered:
+                    filtered = len(gens)
+                    fixers = [g for g in gens if all(g[b] == b for b in base)]
                     orbit = point_orbit(orbit, fixers)
                 if v in orbit:
                     continue
             rest = [w for w in cell if w != v]
-            recurse(head + [[v], rest] + tail, base + (v,), [target], fixers, scanned)
+            resume = recurse(head + [[v], rest] + tail, base + (v,), [target])
+            if resume < depth:
+                return resume
             orbit |= point_orbit([v], fixers)
+        return depth
 
-    recurse(unit_partition(n), (), None, [], 0)
+    recurse(unit_partition(n), (), None)
     outcome.best_bits = best_bits
     return outcome
 

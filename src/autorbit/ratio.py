@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .canon import automorphism_group, edge_set_stabilizer_order
-from .errors import CapExceededError, EmptyEdgeSetError
+from .errors import CapExceededError, EmptyEdgeSetError, ParameterRangeError
 from .graphs import ENUMERATION_CAP, EdgeSet, Graph, Pair, edge_set, from_edge_mask
 from .orbits import edge_set_orbit
 from .perms import PermGroup
@@ -169,7 +169,7 @@ def subsets_for_graph(
                 k = rng.randint(1, m)
                 push(frozenset(rng.sample(edges_sorted, k)))
         else:
-            raise ValueError(f"unknown subset policy {policy!r}")
+            raise ParameterRangeError(f"unknown subset policy {policy!r}")
     return out
 
 
@@ -235,13 +235,15 @@ def sweep_verify(
     policies = tuple(policies)
     for policy in policies:
         if policy not in SUBSET_POLICIES:
-            raise ValueError(f"unknown subset policy {policy!r}")
+            raise ParameterRangeError(f"unknown subset policy {policy!r}")
+    if n < 0:
+        raise ParameterRangeError(f"n must be non-negative, got {n}")
     if n > ENUMERATION_CAP:
         raise CapExceededError(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
     if "all-subsets" in policies and n > ALL_SUBSETS_CAP:
         raise CapExceededError(f"all-subsets sweeps are capped at n={ALL_SUBSETS_CAP}")
     if "random" in policies and seed is None:
-        raise ValueError("random subset policy requires an explicit seed")
+        raise ParameterRangeError("random subset policy requires an explicit seed")
 
     total = 1 << math.comb(n, 2)
     if threads <= 1:

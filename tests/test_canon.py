@@ -5,6 +5,7 @@ import pytest
 
 import smallgraphs
 from oracles import brute_isomorphic, labeled_copy_census
+from autorbit import canon
 from autorbit.canon import (
     automorphism_group,
     canonical_form,
@@ -12,7 +13,8 @@ from autorbit.canon import (
     is_isomorphic,
     unit_partition,
 )
-from autorbit.graphs import from_edge_mask, new_graph
+from autorbit.errors import CapExceededError
+from autorbit.graphs import Graph, from_edge_mask, new_graph
 from autorbit.perms import apply_graph, brute_force_aut, is_automorphism, make_perm
 
 
@@ -153,3 +155,16 @@ def test_empty_and_tiny_graphs():
     assert canonical_form(g0) == (0).to_bytes(4, "big")
     g1 = smallgraphs.empty(1)
     assert automorphism_group(g1).order == 1
+
+
+def test_search_depth_is_capped_below_the_recursion_limit():
+    # an edgeless graph's first path individualizes n - 1 vertices, one stack frame each
+    with pytest.raises(CapExceededError):
+        automorphism_group(Graph(1100, frozenset()))
+
+
+def test_search_depth_cap_counts_levels(monkeypatch):
+    monkeypatch.setattr(canon, "MAX_SEARCH_DEPTH", 5)
+    assert automorphism_group(smallgraphs.empty(5)).order == 120  # leaves at depth 4
+    with pytest.raises(CapExceededError):
+        automorphism_group(smallgraphs.empty(6))

@@ -173,6 +173,19 @@ def test_er_check_cancel_command(capsys):
     assert results["cases"] > 0
 
 
+def test_er_check_cancel_cap_fails_before_the_loop(capsys, monkeypatch):
+    from autorbit import cli
+
+    def no_check(n, m, k):
+        raise AssertionError("the loop ran before --nmax was checked")
+
+    monkeypatch.setattr(cli, "verify_binomial_cancellation", no_check)
+    code, out, err = run_cli(capsys, "er-check-cancel", "--nmax", str(cli.ER_CHECK_NMAX + 1))
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_proof_chain_command(capsys):
     code, out, _ = run_cli(
         capsys, "proof-chain", "--graph", emit_graph6(smallgraphs.triangle()), "--edges", "0-1"
@@ -297,6 +310,11 @@ def test_er_sample_gate_uses_the_exact_probability(capsys, monkeypatch):
         ["sweep", "--n", "3", "--samples", "-1"],
         ["er-check-cancel", "--nmax", "0"],
         ["er-check-cancel", "--nmax", "-1"],
+        ["er-check-cancel", "--nmax", "100000"],
+        ["sweep", "--n", "3", "--subsets", "foo"],
+        ["sweep", "--n", "-1"],
+        ["recover-aut", "--graph", "C~", "--vertex", "9"],
+        ["recover-aut", "--graph", "C~", "--vertex", "-1"],
     ],
 )
 def test_out_of_range_counts_exit_2(capsys, argv):
@@ -327,3 +345,18 @@ def test_unwritable_csv_path_exits_2_before_the_sweep(capsys, tmp_path, monkeypa
     assert code == 2
     assert not out
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_deep_search_exits_2(capsys, tmp_path):
+    path = tmp_path / "edgeless.el"
+    path.write_text("1100 0\n")
+    code, out, err = run_cli(capsys, "aut", "--graph", str(path))
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_parser_is_built_once():
+    from autorbit.cli import build_parser
+
+    assert build_parser() is build_parser()

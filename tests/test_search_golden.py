@@ -1,18 +1,23 @@
-"""Search outcomes pinned to values captured before the split-cell refinement.
+"""Search outcomes pinned to values captured from the jump-back search.
 
 Refinement, leaves and sibling pruning may get cheaper, but no certificate,
 generator, base, order or pruning decision may change. ``golden/search.json``
-holds, from the engine that recounted every cell on every pass:
+holds, from the search that takes automorphisms from first-leaf matches
+only and jumps back to the first path after each:
 
 - ``autorbit aut`` reports with ``timing_ms`` dropped;
 - ``edge_set_stabilizer_order`` on seeded (G, E') at n = 7-12;
 - a digest per raw ``_search`` outcome (generators, base, best leaf, leaves)
   on seeded graphs at n = 0-40, plain and with a second pair colour;
-- search nodes (``_refine`` calls, counted with a spy) and leaves on five
+- search nodes (``_refine`` calls, counted with a spy) and leaves on seven
   families.
 
-The file is JSON of the functions below; rewrite it only for a deliberate
-change of search outcome or report format.
+Certificates, orders and stabilizer orders in it are unchanged since the
+engine that recounted every cell on every pass and also harvested
+best-leaf matches; the generator lists, raw digests and node/leaf counts
+are those of the jump-back search. The file is JSON of the functions
+below; rewrite it only for a deliberate change of search outcome or
+report format.
 """
 
 import contextlib
@@ -95,6 +100,8 @@ PINNED = {
     "Q4": smallgraphs.hypercube(4),
     "Petersen": smallgraphs.petersen(),
     "C64": smallgraphs.cycle(64),
+    "E50": smallgraphs.empty(50),
+    "K30": smallgraphs.complete(30),
 }
 
 
@@ -115,3 +122,11 @@ def test_nodes_and_leaves_match_pins(name):
     graph = PINNED[name]
     outcome = canon._search(graph.n, graph.adjacency)
     assert [outcome.nodes, outcome.leaves] == GOLDEN["nodes_leaves"][name]
+
+
+def test_harvest_has_at_most_n_minus_1_generators():
+    rng = random.Random("golden-harvest")
+    graphs = list(PINNED.values()) + [smallgraphs.seeded_graph(rng, n) for n in range(41)]
+    for graph in graphs:
+        outcome = canon._search(graph.n, graph.adjacency)
+        assert len(outcome.generators) <= max(graph.n - 1, 0), (graph.n, len(outcome.generators))
