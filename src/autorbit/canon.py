@@ -3,21 +3,21 @@
 The engine is classic individualization-refinement: refine an ordered vertex
 partition to its coarsest equitable refinement, pick the first smallest
 non-singleton cell, individualize each of its vertices in turn, and recurse.
-Refinement counts neighbours only into the cells that are new since its
-last pass (at a search node, just the individualized vertex), which gives
-the same cells in the same order as recounting every cell. Discrete
-partitions (leaves) induce a relabeling of the graph, built in O(n + m)
-from neighbour lists; the certificate is the lexicographically smallest
-relabeled adjacency bitstring over all leaves. A leaf whose bitstring equals
-the first leaf's yields an automorphism, and the search jumps back to the
-first-path node its path left. Known automorphisms fixing the current
-branching sequence skip equivalent siblings, so the at most n - 1 harvested
-generators are strong for the first path's branching sequence and the group
-order is the product of orbit lengths along it. A second pair colour
-rides in the same row ints, one n-bit layer per colour, so the same search
-finds the automorphisms that keep an edge set in place. Correctness before
-speed: the whole engine is validated against the brute-force definition on
-every small graph.
+Refinement counts neighbours only into the cells that are new since its last
+pass (at a search node, just the individualized vertex), which gives the
+same cells in the same order as recounting every cell. Discrete partitions
+(leaves) induce a relabeling of the graph, whose bits are set from the edge
+lists through a vertex-to-position table; the certificate is the
+lexicographically smallest relabeled adjacency bitstring over all leaves. A
+leaf whose bitstring equals the first leaf's yields an automorphism, and the
+search jumps back to the first-path node its path left. Known automorphisms
+fixing the current branching sequence skip equivalent siblings, so the at
+most n - 1 harvested generators are strong for the first path's branching
+sequence and the group order is the product of orbit lengths along it. A
+second pair colour rides in the row ints (bits n..2n-1) and in a second
+triangle after the first, so the same search finds the automorphisms that
+keep an edge set in place. Correctness before speed: the whole engine is
+validated against the brute-force definition on every small graph.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import CapExceededError
-from .graphs import Graph, edge_set
+from .graphs import EdgeSet, Graph, edge_set
 from .perms import Perm, PermGroup, perm_group, point_orbit, reduce_generators
 
 OrderedPartition = list[list[int]]
@@ -45,15 +45,6 @@ def _validate_partition(n: int, cells: OrderedPartition) -> OrderedPartition:
     members = [v for cell in out for v in cell]
     if len(members) != n or set(members) != set(range(n)):
         raise ValueError("cells must partition 0..n-1 without repeats")
-    return out
-
-
-def _bits(x: int) -> list[int]:
-    """Indices of the set bits of x, lowest first."""
-    out = []
-    while x:
-        out.append((x & -x).bit_length() - 1)
-        x &= x - 1
     return out
 
 
@@ -128,30 +119,36 @@ class _SearchOutcome:
     nodes: int = 0
 
 
-def _search(n: int, rows: tuple[int, ...], layers: int = 1) -> _SearchOutcome:
-    """Individualization-refinement over rows that stack ``layers`` pair colours."""
+def _search(graph: Graph, colour: EdgeSet | None = None) -> _SearchOutcome:
+    """Individualization-refinement over the graph, plus ``colour`` (if given,
+    even empty) as a second pair colour at row bits n..2n-1."""
+    n = graph.n
+    colours = [graph.edges] if colour is None else [graph.edges, colour]
+    rows = list(graph.adjacency)
+    for u, v in colour or ():
+        rows[u] |= 1 << (n + v)
+        rows[v] |= 1 << (n + u)
     outcome = _SearchOutcome()
     gens = outcome.generators
     first_bits: int | None = None
     first_lab: Perm = ()
     best_bits = 0
-    # a leaf's bits are the relabeled upper triangle of each colour in turn
-    full = (1 << n) - 1
-    neighbours = [[_bits(row >> (k * n) & full) for row in rows] for k in range(layers)]
+    # leaf bits: each colour's relabeled upper triangle, row-major, as 0/1 text after a "0"
+    # (so n < 2 parses); colour k's pair at positions i < j is character k*span + start[i] + j
+    span = math.comb(n, 2)
+    blank = bytearray(b"0") * (1 + len(colours) * span)
+    start = [span - math.comb(n - 1 - i, 2) - (n - 1) for i in range(n)]
 
     def leaf_bits(lab: Perm) -> int:
-        weight = [0] * n  # bit of each vertex in a relabeled row: n - 1 - its position
+        pos = [0] * n
         for i, v in enumerate(lab):
-            weight[v] = n - 1 - i
-        bits = 0
-        for layer in neighbours:
-            for i, v in enumerate(lab):
-                row = 0
-                for u in layer[v]:
-                    if weight[u] < n - 1 - i:
-                        row |= 1 << weight[u]
-                bits = bits << (n - 1 - i) | row
-        return bits
+            pos[v] = i
+        text = blank[:]
+        for shift, pairs in zip((0, span), colours):
+            for u, v in pairs:
+                i, j = pos[u], pos[v]
+                text[shift + (start[i] + j if i < j else start[j] + i)] = 49  # "1"
+        return int(text, 2)
 
     def recurse(cells: OrderedPartition, base: tuple[int, ...], new: list[int] | None) -> int:
         """Search below a node; return the depth of the first-path node to go on at."""
@@ -159,7 +156,7 @@ def _search(n: int, rows: tuple[int, ...], layers: int = 1) -> _SearchOutcome:
         depth = len(base)
         if depth == MAX_SEARCH_DEPTH:
             raise CapExceededError(f"search depth exceeds the cap of {MAX_SEARCH_DEPTH} levels")
-        cells = _refine(rows, cells, layers, new)
+        cells = _refine(rows, cells, len(colours), new)
         outcome.nodes += 1
         target = -1
         target_size = n + 1
@@ -221,7 +218,7 @@ def _outcome(graph: Graph) -> _SearchOutcome:
     """
     outcome = graph.__dict__.get("_search_outcome")
     if outcome is None:
-        outcome = graph.__dict__["_search_outcome"] = _search(graph.n, graph.adjacency)
+        outcome = graph.__dict__["_search_outcome"] = _search(graph)
     return outcome
 
 
@@ -248,10 +245,7 @@ def edge_set_stabilizer_order(graph: Graph, pairs) -> int:
     one search of the two-coloured graph finds Aut(graph) ∩ Aut(pairs). The
     pairs may be edges, non-edges or a mix of both.
     """
-    n = graph.n
-    colour = Graph(n, edge_set(pairs, n)).adjacency
-    rows = tuple(row | (c << n) for row, c in zip(graph.adjacency, colour))
-    outcome = _search(n, rows, 2)
+    outcome = _search(graph, edge_set(pairs, graph.n))
     return reduce_generators(outcome.generators, outcome.base)[1]
 
 

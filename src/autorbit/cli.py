@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .canon import automorphism_group, canonical_form
-from .errors import AutorbitError, CapExceededError, VertexRangeError
+from .errors import AutorbitError, CapExceededError, PreconditionError, VertexRangeError
 from .ermodel import (
     count_labeled_copies,
     er_prob_isomorphic,
@@ -279,6 +279,8 @@ def _cmd_recover_aut(args):
     if args.vertex is not None and not 0 <= args.vertex < graph.n:
         raise VertexRangeError(f"--vertex {args.vertex} is not in 0..{graph.n - 1}")
     deck = augmented_deck(graph)
+    if len({card.deleted_edges for card in deck.cards}) < graph.n:  # else multiplicity != |AO_G(E_v)|
+        raise PreconditionError("a K2 component or two isolated vertices share their incident edges")
     true_order = automorphism_group(graph).order
     mults = deck.multiplicities()
     vertices = [args.vertex] if args.vertex is not None else list(range(graph.n))

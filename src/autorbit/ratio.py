@@ -44,6 +44,8 @@ SUBSET_POLICIES = ("single-edges", "all-subsets", "random")
 # takes about 1.2 ms; 32 gave the least total time.
 WALK_CUTOFF = 32
 ALL_SUBSETS_CAP = 5
+# sweep workers; the fork start method launches them all at the first submit
+THREADS_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -244,6 +246,8 @@ def sweep_verify(
         raise CapExceededError(f"all-subsets sweeps are capped at n={ALL_SUBSETS_CAP}")
     if "random" in policies and seed is None:
         raise ParameterRangeError("random subset policy requires an explicit seed")
+    if threads > THREADS_CAP:
+        raise ParameterRangeError(f"threads={threads} exceeds the cap of {THREADS_CAP}")
 
     total = 1 << math.comb(n, 2)
     if threads <= 1:
@@ -256,7 +260,7 @@ def sweep_verify(
         graphs = checks = 0
         violations = []
         rows = []
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(bounds))) as pool:
             futures = [
                 pool.submit(_sweep_range, n, lo, hi, policies, samples, seed, collect_rows)
                 for lo, hi in bounds

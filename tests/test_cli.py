@@ -214,6 +214,29 @@ def test_recover_aut_command(capsys, twin_hubs):
     assert all(entry["recovered"] == "8" for entry in results["cards"])
 
 
+@pytest.mark.parametrize("g6", ["A_", "B?", "C?", "C`", "DE?"])  # K2, E3, E4, 2K2, P3 + 2K1
+def test_recover_aut_rejects_shared_incident_sets_before_searching(capsys, monkeypatch, g6):
+    from autorbit import canon
+
+    def no_search(*args):
+        raise AssertionError("a graph or card was searched")
+
+    monkeypatch.setattr(canon, "_search", no_search)
+    code, out, err = run_cli(capsys, "recover-aut", "--graph", g6)
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("g6, order", [("Cw", "6"), ("EwCW", "72")])  # K3 + K1, 2K3
+def test_recover_aut_matches_with_one_isolated_vertex_or_triangles(capsys, g6, order):
+    code, out, _ = run_cli(capsys, "recover-aut", "--graph", g6)
+    assert code == 0
+    results = report_of(out)["results"]
+    assert results["true_order"] == order
+    assert all(entry["match"] and entry["recovered"] == order for entry in results["cards"])
+
+
 def test_recon_filter_command(capsys):
     code, out, _ = run_cli(capsys, "recon-filter", "--graph", emit_graph6(smallgraphs.path(4)))
     assert code == 0
@@ -319,6 +342,19 @@ def test_er_sample_gate_uses_the_exact_probability(capsys, monkeypatch):
 )
 def test_out_of_range_counts_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_sweep_threads_over_cap_exit_2_before_any_pool(capsys, monkeypatch):
+    from autorbit import ratio
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(ratio, "ProcessPoolExecutor", no_pool)
+    code, out, err = run_cli(capsys, "sweep", "--n", "3", "--threads", str(ratio.THREADS_CAP + 1))
     assert code == 2
     assert not out
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1

@@ -6,6 +6,7 @@ import pytest
 
 import smallgraphs
 from oracles import brute_aut_order, enumerated_orbit
+from autorbit import ratio
 from autorbit.errors import CapExceededError, EmptyEdgeSetError, NotASubsetError
 from autorbit.graphs import from_edge_mask
 from autorbit.perms import apply_edge_set, apply_graph, brute_force_aut, make_perm
@@ -128,6 +129,23 @@ def test_parallel_sweep_matches_serial():
     serial = sweep_verify(4, ["single-edges", "random"], samples=4, seed=7)
     parallel = sweep_verify(4, ["single-edges", "random"], samples=4, seed=7, threads=2)
     assert serial == parallel
+
+
+class PoolStarted(Exception):
+    pass
+
+
+def test_sweep_starts_no_more_workers_than_chunks(monkeypatch):
+    sizes = []
+
+    def no_pool(max_workers):  # records the request and raises, so nothing forks
+        sizes.append(max_workers)
+        raise PoolStarted
+
+    monkeypatch.setattr(ratio, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(PoolStarted):
+        sweep_verify(2, threads=8)  # 2 graphs, so 2 chunks
+    assert sizes == [2]
 
 
 def test_sweep_rows_collection():

@@ -33,7 +33,7 @@ import pytest
 import smallgraphs
 from autorbit import canon
 from autorbit.cli import main
-from autorbit.graphs import all_pairs, emit_graph6, new_graph
+from autorbit.graphs import all_pairs, edge_set, emit_graph6, new_graph
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "search.json").read_text())
 
@@ -87,8 +87,8 @@ def outcome_digests():
         for _ in range(3):
             graph = smallgraphs.seeded_graph(rng, n)
             pairs = rng.sample(all_pairs(n), rng.randint(0, math.comb(n, 2)) // 4)
-            for layers, rows in ((1, graph.adjacency), (2, smallgraphs.two_colour_rows(graph, pairs))):
-                outcome = canon._search(n, rows, layers)
+            for colour in (None, edge_set(pairs, n)):
+                outcome = canon._search(graph, colour)
                 payload = (outcome.generators, outcome.base, outcome.best_bits, outcome.leaves)
                 digests.append(hashlib.sha256(repr(payload).encode()).hexdigest()[:16])
     return digests
@@ -120,7 +120,7 @@ def test_raw_search_outcomes_match_golden():
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_nodes_and_leaves_match_pins(name):
     graph = PINNED[name]
-    outcome = canon._search(graph.n, graph.adjacency)
+    outcome = canon._search(graph)
     assert [outcome.nodes, outcome.leaves] == GOLDEN["nodes_leaves"][name]
 
 
@@ -128,5 +128,5 @@ def test_harvest_has_at_most_n_minus_1_generators():
     rng = random.Random("golden-harvest")
     graphs = list(PINNED.values()) + [smallgraphs.seeded_graph(rng, n) for n in range(41)]
     for graph in graphs:
-        outcome = canon._search(graph.n, graph.adjacency)
+        outcome = canon._search(graph)
         assert len(outcome.generators) <= max(graph.n - 1, 0), (graph.n, len(outcome.generators))

@@ -36,6 +36,14 @@ def degree_preserving_swaps(graph: Graph, rng: random.Random, swaps: int) -> Gra
     return Graph(graph.n, frozenset(edges))
 
 
+def decoded(certificate: bytes) -> Graph:
+    """The graph a certificate spells: a 4-byte n, then the upper triangle row by row, big-endian."""
+    n = int.from_bytes(certificate[:4], "big")
+    bits = "".join(f"{byte:08b}" for byte in certificate[4:])
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return Graph(n, frozenset(pair for pair, bit in zip(pairs, bits) if bit == "1"))
+
+
 def degrees(graph: Graph) -> list[int]:
     return sorted(row.bit_count() for row in graph.adjacency)
 
@@ -47,6 +55,7 @@ def test_certificates_agree_with_vf2():
         n = rng.randint(7, 10)
         g = new_graph(n, rng.sample(all_pairs(n), rng.randint(2, math.comb(n, 2) - 2)))
         assert canonical_form(relabelled(g, rng)) == canonical_form(g), (n, g.mask)
+        assert nx.is_isomorphic(to_nx(decoded(canonical_form(g))), to_nx(g)), (n, g.mask)
         h = relabelled(degree_preserving_swaps(g, rng, rng.randint(1, 3)), rng)
         assert degrees(h) == degrees(g)
         same = canonical_form(h) == canonical_form(g)
