@@ -263,6 +263,6 @@ def canonical_form(graph: Graph) -> bytes:
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.m != h.m:
+    if g.n != h.n or g.m != h.m or sorted(g.degrees()) != sorted(h.degrees()):
         return False
     return canonical_form(g) == canonical_form(h)

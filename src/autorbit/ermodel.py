@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .canon import automorphism_group, canonical_form
 from .errors import EdgeCountRangeError, ParameterRangeError
-from .graphs import EdgeSet, Graph, Pair, edge_set, pair_unrank
+from .graphs import EdgeSet, Graph, Pair, all_pairs, edge_set, pair_unrank
 from .ratio import AutCache, verify_ratio_identity
 
 
@@ -69,6 +69,16 @@ def er_prob_isomorphic(graph: Graph, aut_order: int | None = None) -> Fraction:
     return Fraction(copies, math.comb(math.comb(n, 2), m))
 
 
+def _draw_pairs(n: int, m: int, rng: random.Random) -> set[int]:
+    """Indices of m distinct pairs out of C(n, 2) by Floyd's subset sampling."""
+    total = math.comb(n, 2)
+    chosen: set[int] = set()
+    for j in range(total - m, total):
+        t = rng.randrange(j + 1)
+        chosen.add(t if t not in chosen else j)
+    return chosen
+
+
 def sample_er(n: int, m: int, seed: int | random.Random | None = None) -> Graph:
     """Uniform graph with n vertices and exactly m edges, deterministic per seed.
 
@@ -81,34 +91,37 @@ def sample_er(n: int, m: int, seed: int | random.Random | None = None) -> Graph:
     if not 0 <= m <= total:
         raise EdgeCountRangeError(f"m={m} outside 0..{total} for n={n}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    chosen: set[int] = set()
-    for j in range(total - m, total):
-        t = rng.randrange(j + 1)
-        chosen.add(t if t not in chosen else j)
-    return Graph(n, frozenset(pair_unrank(i) for i in chosen))
+    return Graph(n, frozenset(pair_unrank(i) for i in _draw_pairs(n, m, rng)))
 
 
 def estimate_prob_isomorphic(graph: Graph, trials: int, seed: int | None = None) -> SampleEstimate:
     """Monte Carlo estimate of the isomorphism-class probability.
 
-    Samples share one seeded stream; certificates are memoized per edge mask
-    so repeated small graphs cost one canonical-form call each.
+    Trials draw pair indices from one seeded stream, exactly as ``sample_er``
+    does. A draw whose sorted degree sequence differs from the target's cannot
+    be isomorphic to it and is dropped without building a graph; only the
+    others are compared by canonical form. The screen is exact, so the hits
+    are those of comparing every draw.
     """
     if trials < 1:
         raise ParameterRangeError("trials must be positive")
     n, m = graph.n, graph.m
-    target = canonical_form(graph)
+    if n < 1:
+        raise EdgeCountRangeError("the model needs at least one vertex")
+    target, degrees = canonical_form(graph), sorted(graph.degrees())
+    pairs = all_pairs(n)
     rng = random.Random(seed)
-    iso_by_mask: dict[int, bool] = {}
     hits = 0
     for _ in range(trials):
-        sample = sample_er(n, m, rng)
-        key = sample.mask
-        hit = iso_by_mask.get(key)
-        if hit is None:
-            hit = canonical_form(sample) == target
-            iso_by_mask[key] = hit
-        hits += hit
+        chosen = _draw_pairs(n, m, rng)
+        counts = [0] * n
+        for i in chosen:
+            u, v = pairs[i]
+            counts[u] += 1
+            counts[v] += 1
+        counts.sort()
+        if counts == degrees:
+            hits += canonical_form(Graph(n, frozenset(pairs[i] for i in chosen))) == target
     estimate = hits / trials
     half = 1.96 * math.sqrt(estimate * (1.0 - estimate) / trials)
     return SampleEstimate(trials=trials, hits=hits, estimate=estimate, ci95_halfwidth=half)

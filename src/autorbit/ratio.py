@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 from .canon import automorphism_group, edge_set_stabilizer_order
 from .errors import CapExceededError, EmptyEdgeSetError, ParameterRangeError
-from .graphs import ENUMERATION_CAP, EdgeSet, Graph, Pair, edge_set, from_edge_mask
+from .graphs import ENUMERATION_CAP, EdgeSet, Graph, Pair, edge_set, emit_graph6, from_edge_mask
 from .orbits import edge_set_orbit
 from .perms import PermGroup
 
@@ -195,46 +195,21 @@ def _sweep_range(
         for dset in subsets_for_graph(graph, policies, samples, seed):
             report = verify_ratio_identity(graph, dset, cache)
             checks += 1
+            if report.holds and not collect_rows:
+                continue
+            counts = {key: getattr(report, key) for key in ("aut_g", "ao_g", "aut_minus", "ao_minus")}
+            deleted = sorted(dset)
             if not report.holds:
-                violations.append(
-                    {
-                        "mask": mask,
-                        "deleted": sorted(dset),
-                        "aut_g": report.aut_g,
-                        "ao_g": report.ao_g,
-                        "aut_minus": report.aut_minus,
-                        "ao_minus": report.ao_minus,
-                    }
-                )
+                g6, edges = emit_graph6(graph), ",".join(f"{u}-{v}" for u, v in deleted)
+                argv = ["autorbit", "verify", "--graph", g6, "--edges", edges]
+                violations.append({"mask": mask, "deleted": deleted, "graph6": g6, "argv": argv, **counts})
             if collect_rows:
-                rows.append(
-                    (
-                        mask,
-                        tuple(sorted(dset)),
-                        report.aut_g,
-                        report.ao_g,
-                        report.aut_minus,
-                        report.ao_minus,
-                        report.holds,
-                    )
-                )
+                rows.append((mask, tuple(deleted), *counts.values(), report.holds))
     return graphs, checks, violations, rows
 
 
-def sweep_verify(
-    n: int,
-    policies: Sequence[str] = ("single-edges",),
-    samples: int = 20,
-    seed: int | None = None,
-    threads: int = 1,
-    collect_rows: bool = False,
-) -> SweepSummary | tuple[SweepSummary, list]:
-    """Run the identity over every labeled graph on n vertices.
-
-    Policies combine: each graph is checked against the union of the chosen
-    deleted-set families. Any violation would indicate an implementation bug.
-    """
-    policies = tuple(policies)
+def check_sweep_args(n: int, policies: Sequence[str], seed: int | None, threads: int) -> None:
+    """Raise the error that stops a sweep with these arguments, before any work."""
     for policy in policies:
         if policy not in SUBSET_POLICIES:
             raise ParameterRangeError(f"unknown subset policy {policy!r}")
@@ -249,6 +224,23 @@ def sweep_verify(
     if threads > THREADS_CAP:
         raise ParameterRangeError(f"threads={threads} exceeds the cap of {THREADS_CAP}")
 
+
+def sweep_verify(
+    n: int,
+    policies: Sequence[str] = ("single-edges",),
+    samples: int = 20,
+    seed: int | None = None,
+    threads: int = 1,
+    collect_rows: bool = False,
+) -> SweepSummary | tuple[SweepSummary, list]:
+    """Run the identity over every labeled graph on n vertices.
+
+    Policies combine: each graph is checked against the union of the chosen
+    deleted-set families. Any violation would indicate an implementation bug;
+    each one carries its graph6 and the ``autorbit verify`` argv that replays it.
+    """
+    policies = tuple(policies)
+    check_sweep_args(n, policies, seed, threads)
     total = 1 << math.comb(n, 2)
     if threads <= 1:
         graphs, checks, violations, rows = _sweep_range(

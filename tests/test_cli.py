@@ -383,6 +383,24 @@ def test_unwritable_csv_path_exits_2_before_the_sweep(capsys, tmp_path, monkeypa
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "7"],
+        ["--n", "3", "--threads", "65"],
+        ["--n", "6", "--subsets", "all"],
+    ],
+)
+def test_failing_sweep_leaves_an_existing_csv_untouched(capsys, tmp_path, argv):
+    csv_path = tmp_path / "keep.csv"
+    csv_path.write_bytes(b"keep\n")
+    code, out, err = run_cli(capsys, "sweep", *argv, "--csv", str(csv_path))
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert csv_path.read_bytes() == b"keep\n"
+
+
 def test_deep_search_exits_2(capsys, tmp_path):
     path = tmp_path / "edgeless.el"
     path.write_text("1100 0\n")

@@ -18,7 +18,8 @@ from autorbit.ermodel import (
     verify_binomial_cancellation,
     verify_proof_chain,
 )
-from autorbit.graphs import from_edge_mask
+from autorbit.cli import main
+from autorbit.graphs import Graph, edge_set, from_edge_mask
 from autorbit.perms import brute_force_aut
 
 
@@ -80,6 +81,15 @@ def test_sample_er_is_seed_deterministic():
     assert a.m == 7
 
 
+def test_sample_er_draws_are_pinned():
+    # masks recorded before the sampler's loop moved into a shared helper
+    assert [sample_er(n, m, s).mask for n, m, s in ((6, 7, 42), (8, 14, 1), (5, 10, 3), (9, 1, 7))] == [
+        6175, 120901965, 1023, 1048576
+    ]
+    rng = random.Random(5)
+    assert [sample_er(7, 9, rng).mask for _ in range(3)] == [1165969, 170127, 1061737]
+
+
 def test_sample_er_range_checks():
     with pytest.raises(EdgeCountRangeError):
         sample_er(3, 4, seed=0)
@@ -123,6 +133,52 @@ def test_estimate_matches_exact_value_within_noise():
     assert abs(est.estimate - exact) < 6 * sigma
     assert 0.0 <= est.estimate <= 1.0
     assert est.hits <= est.trials
+
+
+K33 = Graph(6, edge_set((a, b) for a in range(3) for b in range(3, 6)))
+SCREEN_TARGETS = {
+    "C6": smallgraphs.cycle(6),  # regular: every degree-matching draw is searched
+    "K3,3": K33,
+    "wedge": smallgraphs.wedge(),
+    "triangle+isolated": smallgraphs.triangle_plus_isolated(),
+    "K4": smallgraphs.complete(4),  # m = C(n, 2)
+    "E5": smallgraphs.empty(5),  # m = 0
+    "K1": smallgraphs.empty(1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCREEN_TARGETS))
+def test_degree_screened_estimate_matches_searching_every_draw(name):
+    target = SCREEN_TARGETS[name]
+    cert = canonical_form(target)
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        reference = sum(canonical_form(sample_er(target.n, target.m, rng)) == cert for _ in range(1000))
+        assert estimate_prob_isomorphic(target, 1000, seed).hits == reference, seed
+
+
+@pytest.mark.parametrize(
+    "target, trials, seed, hits",
+    [
+        # recorded before the degree screen, when every draw was searched
+        (smallgraphs.cycle(6), 3000, 17, 46),
+        (smallgraphs.triangle_plus_isolated(), 2000, 3, 395),
+        (K33, 20000, 4, 37),
+    ],
+)
+def test_estimate_hits_are_pinned(target, trials, seed, hits):
+    assert estimate_prob_isomorphic(target, trials, seed).hits == hits
+
+
+def test_estimate_rejects_a_target_without_vertices(capsys, tmp_path):
+    with pytest.raises(EdgeCountRangeError):
+        estimate_prob_isomorphic(Graph(0, frozenset()), trials=5, seed=1)
+    path = tmp_path / "empty.el"
+    path.write_text("0 0\n")
+    assert main(["er-sample", "--trials", "5", "--seed", "1", "--graph", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == "error: the model needs at least one vertex\n"
 
 
 def test_estimate_needs_positive_trials():

@@ -130,21 +130,24 @@ def test_walk_or_search_branch_is_named_by_the_prediction(branch_calls):
     assert _branch(branch_calls, smallgraphs.twin_hubs(), {(0, 4), (4, 5)})[0] == "walk"
 
 
-def _assert_replayable_violations(summary, n):
+def _assert_replayable_violations(summary, n, capsys):
     assert not summary.holds
     for entry in summary.violations:
         graph = from_edge_mask(n, entry["mask"])
+        counts = (entry["aut_g"], entry["ao_g"], entry["aut_minus"], entry["ao_minus"])
         replay = verify_ratio_identity(graph, entry["deleted"])
-        assert (entry["aut_g"], entry["ao_g"], entry["aut_minus"], entry["ao_minus"]) == (
-            replay.aut_g,
-            replay.ao_g,
-            replay.aut_minus,
-            replay.ao_minus,
-        )
+        assert counts == (replay.aut_g, replay.ao_g, replay.aut_minus, replay.ao_minus)
         assert not replay.holds
+        # the violation replays with one CLI call
+        assert entry["graph6"] == emit_graph6(graph)
+        assert entry["argv"][:2] == ["autorbit", "verify"]
+        capsys.readouterr()
+        assert main(entry["argv"][1:]) == 1
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert counts == (results["aut_g"], results["ao_g"], results["aut_minus"], results["ao_minus"])
 
 
-def test_doubled_stabilizer_order_fails_the_check(monkeypatch):
+def test_doubled_stabilizer_order_fails_the_check(monkeypatch, capsys):
     real = ratio.edge_set_stabilizer_order
     monkeypatch.setattr(ratio, "edge_set_stabilizer_order", lambda g, p: 2 * real(g, p))
     graph, dset = _matched_k7()
@@ -153,7 +156,7 @@ def test_doubled_stabilizer_order_fails_the_check(monkeypatch):
     assert report.lhs_cross != report.rhs_cross
     # with the cut-off at 0 every check of the sweep takes the stabilizer branch
     monkeypatch.setattr(ratio, "WALK_CUTOFF", 0)
-    _assert_replayable_violations(sweep_verify(4, ["all-subsets"]), 4)
+    _assert_replayable_violations(sweep_verify(4, ["all-subsets"]), 4, capsys)
 
 
 def test_stabilizer_order_that_does_not_divide_fails_the_check(monkeypatch):
@@ -176,7 +179,7 @@ def test_proof_chain_reports_failed_checks_when_the_orbit_is_unsized(monkeypatch
     assert [check["holds"] for check in results["checks"]] == [False] * 3
 
 
-def test_orbit_walk_off_by_one_fails_the_check(monkeypatch):
+def test_orbit_walk_off_by_one_fails_the_check(monkeypatch, capsys):
     real = ratio.edge_set_orbit
     monkeypatch.setattr(
         ratio, "edge_set_orbit", lambda group, pairs: SimpleNamespace(size=real(group, pairs).size + 1)
@@ -185,4 +188,4 @@ def test_orbit_walk_off_by_one_fails_the_check(monkeypatch):
     assert not report.holds
     graph, dset = _matched_k7()
     assert not verify_ratio_identity(graph, dset).holds
-    _assert_replayable_violations(sweep_verify(4, ["single-edges"]), 4)
+    _assert_replayable_violations(sweep_verify(4, ["single-edges"]), 4, capsys)

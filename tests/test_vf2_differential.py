@@ -5,7 +5,7 @@ import random
 
 import networkx as nx
 
-from autorbit.canon import canonical_form
+from autorbit.canon import canonical_form, is_isomorphic
 from autorbit.graphs import Graph, all_pairs, new_graph
 
 
@@ -60,5 +60,20 @@ def test_certificates_agree_with_vf2():
         assert degrees(h) == degrees(g)
         same = canonical_form(h) == canonical_form(g)
         assert same == nx.is_isomorphic(to_nx(g), to_nx(h)), (n, g.mask, h.mask)
+        assert is_isomorphic(g, h) == same
         verdicts.append(same)
     assert 30 <= sum(verdicts) <= 270
+
+
+def test_is_isomorphic_agrees_with_vf2():
+    # same n and m, so the verdict comes from the degree screen or from the certificates
+    rng = random.Random("vf2-is-isomorphic")
+    screened = 0
+    for _ in range(300):
+        n = rng.randint(7, 10)
+        m = rng.randint(2, math.comb(n, 2) - 2)
+        g = new_graph(n, rng.sample(all_pairs(n), m))
+        h = new_graph(n, rng.sample(all_pairs(n), m)) if rng.random() < 0.5 else relabelled(g, rng)
+        screened += degrees(g) != degrees(h)
+        assert is_isomorphic(g, h) == nx.is_isomorphic(to_nx(g), to_nx(h)), (n, g.mask, h.mask)
+    assert 50 <= screened <= 250
