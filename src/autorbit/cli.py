@@ -30,7 +30,7 @@ from .ermodel import (
 )
 from .graphs import Graph, Pair, emit_graph6, normalize_pair, parse_edge_list, parse_graph6
 from .orbits import edge_set_orbit, pair_orbit, vertex_orbit
-from .ratio import check_sweep_args, sweep_verify, verify_ratio_identity
+from .ratio import _check_sweep_args, sweep_verify, verify_ratio_identity
 from .recon import augmented_deck, classic_deck, recover_aut_order, unique_extension_filter
 
 # er-check-cancel runs about nmax**5 / 40 cases: 80,332 in 2.5 s at nmax = 20,
@@ -164,7 +164,7 @@ def _cmd_sweep(args):
     if args.csv is None:
         summary = sweep()
     else:
-        check_sweep_args(args.n, policies, args.seed, args.threads)  # before the file is truncated
+        _check_sweep_args(args.n, policies, args.seed, args.threads)  # before the file is truncated
         try:  # before the sweep, so a bad path costs no work
             fh = open(args.csv, "w", newline="")
         except OSError as exc:

@@ -100,8 +100,9 @@ def estimate_prob_isomorphic(graph: Graph, trials: int, seed: int | None = None)
     Trials draw pair indices from one seeded stream, exactly as ``sample_er``
     does. A draw whose sorted degree sequence differs from the target's cannot
     be isomorphic to it and is dropped without building a graph; only the
-    others are compared by canonical form. The screen is exact, so the hits
-    are those of comparing every draw.
+    others are compared by canonical form, memoized per pair-index mask
+    because small targets pass the screen with few distinct labelled graphs.
+    The screen is exact, so the hits are those of comparing every draw.
     """
     if trials < 1:
         raise ParameterRangeError("trials must be positive")
@@ -111,6 +112,7 @@ def estimate_prob_isomorphic(graph: Graph, trials: int, seed: int | None = None)
     target, degrees = canonical_form(graph), sorted(graph.degrees())
     pairs = all_pairs(n)
     rng = random.Random(seed)
+    iso_by_mask: dict[int, bool] = {}
     hits = 0
     for _ in range(trials):
         chosen = _draw_pairs(n, m, rng)
@@ -121,7 +123,12 @@ def estimate_prob_isomorphic(graph: Graph, trials: int, seed: int | None = None)
             counts[v] += 1
         counts.sort()
         if counts == degrees:
-            hits += canonical_form(Graph(n, frozenset(pairs[i] for i in chosen))) == target
+            key = sum(1 << i for i in chosen)
+            hit = iso_by_mask.get(key)
+            if hit is None:
+                sample = Graph(n, frozenset(pairs[i] for i in chosen))
+                hit = iso_by_mask[key] = canonical_form(sample) == target
+            hits += hit
     estimate = hits / trials
     half = 1.96 * math.sqrt(estimate * (1.0 - estimate) / trials)
     return SampleEstimate(trials=trials, hits=hits, estimate=estimate, ci95_halfwidth=half)

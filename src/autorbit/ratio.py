@@ -208,8 +208,11 @@ def _sweep_range(
     return graphs, checks, violations, rows
 
 
-def check_sweep_args(n: int, policies: Sequence[str], seed: int | None, threads: int) -> None:
-    """Raise the error that stops a sweep with these arguments, before any work."""
+def _check_sweep_args(n: int, policies: Sequence[str], seed: int | None, threads: int) -> None:
+    """Raise the error that stops a sweep with these arguments, before any work.
+
+    ``sweep_verify`` runs it; so does the CLI, before ``--csv`` truncates its file.
+    """
     for policy in policies:
         if policy not in SUBSET_POLICIES:
             raise ParameterRangeError(f"unknown subset policy {policy!r}")
@@ -220,7 +223,7 @@ def check_sweep_args(n: int, policies: Sequence[str], seed: int | None, threads:
     if "all-subsets" in policies and n > ALL_SUBSETS_CAP:
         raise CapExceededError(f"all-subsets sweeps are capped at n={ALL_SUBSETS_CAP}")
     if "random" in policies and seed is None:
-        raise ParameterRangeError("random subset policy requires an explicit seed")
+        raise ParameterRangeError("random subset policy requires an explicit seed (--seed)")
     if threads > THREADS_CAP:
         raise ParameterRangeError(f"threads={threads} exceeds the cap of {THREADS_CAP}")
 
@@ -240,7 +243,7 @@ def sweep_verify(
     each one carries its graph6 and the ``autorbit verify`` argv that replays it.
     """
     policies = tuple(policies)
-    check_sweep_args(n, policies, seed, threads)
+    _check_sweep_args(n, policies, seed, threads)
     total = 1 << math.comb(n, 2)
     if threads <= 1:
         graphs, checks, violations, rows = _sweep_range(

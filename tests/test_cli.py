@@ -383,6 +383,12 @@ def test_unwritable_csv_path_exits_2_before_the_sweep(capsys, tmp_path, monkeypa
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+def test_random_sweep_without_seed_names_the_flag(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--n", "3", "--subsets", "random")
+    assert (code, out) == (2, "")
+    assert err == "error: random subset policy requires an explicit seed (--seed)\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -7,6 +7,7 @@ import pytest
 
 import smallgraphs
 from oracles import labeled_copy_census
+from autorbit import ermodel
 from autorbit.canon import canonical_form
 from autorbit.errors import EdgeCountRangeError, EmptyEdgeSetError, ParameterRangeError
 from autorbit.ermodel import (
@@ -168,6 +169,14 @@ def test_degree_screened_estimate_matches_searching_every_draw(name):
 )
 def test_estimate_hits_are_pinned(target, trials, seed, hits):
     assert estimate_prob_isomorphic(target, trials, seed).hits == hits
+
+
+def test_screened_draws_are_searched_once_per_labelled_graph(monkeypatch):
+    # every wedge draw passes the degree screen, but there are only 3 labelled wedges
+    calls = []
+    monkeypatch.setattr(ermodel, "canonical_form", lambda g: calls.append(g) or canonical_form(g))
+    assert estimate_prob_isomorphic(smallgraphs.wedge(), 2000, seed=1).hits == 2000
+    assert len(calls) <= 1 + 3  # the target, then each labelled wedge once
 
 
 def test_estimate_rejects_a_target_without_vertices(capsys, tmp_path):
