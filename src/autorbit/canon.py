@@ -78,6 +78,8 @@ def _refine(
             masks[j] = masks[j] or sum(1 << w for w in cells[j])
             for w in cells[j]:
                 near |= rows[w]
+        if not near:  # no cell has a neighbour in the new cells, so none can split
+            break
         counted = [masks[j] << (k * n) for k in range(layers) for j in pending]
         for k in range(1, layers):
             near |= near >> (k * n)

@@ -11,11 +11,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .canon import automorphism_group, canonical_form
 from .errors import EdgeCountRangeError, ParameterRangeError
-from .graphs import EdgeSet, Graph, Pair, all_pairs, edge_set, pair_unrank
+from .graphs import EdgeSet, Graph, Pair, all_pairs, check_vertex_cap, edge_set, pair_unrank
 from .ratio import AutCache, verify_ratio_identity
 
 
@@ -87,6 +87,7 @@ def sample_er(n: int, m: int, seed: int | random.Random | None = None) -> Graph:
     """
     if n < 1:
         raise EdgeCountRangeError("the model needs at least one vertex")
+    check_vertex_cap(n)
     total = math.comb(n, 2)
     if not 0 <= m <= total:
         raise EdgeCountRangeError(f"m={m} outside 0..{total} for n={n}")
@@ -94,22 +95,35 @@ def sample_er(n: int, m: int, seed: int | random.Random | None = None) -> Graph:
     return Graph(n, frozenset(pair_unrank(i) for i in _draw_pairs(n, m, rng)))
 
 
+def _neighbour_degrees(degrees: Sequence[int], edges: Iterable[Pair]) -> list[list[int]]:
+    """Sorted list of each vertex's sorted neighbour degrees; its length is the degree."""
+    neighbours: list[list[int]] = [[] for _ in degrees]
+    for u, v in edges:
+        neighbours[u].append(degrees[v])
+        neighbours[v].append(degrees[u])
+    return sorted(map(sorted, neighbours))
+
+
 def estimate_prob_isomorphic(graph: Graph, trials: int, seed: int | None = None) -> SampleEstimate:
     """Monte Carlo estimate of the isomorphism-class probability.
 
     Trials draw pair indices from one seeded stream, exactly as ``sample_er``
     does. A draw whose sorted degree sequence differs from the target's cannot
-    be isomorphic to it and is dropped without building a graph; only the
-    others are compared by canonical form, memoized per pair-index mask
-    because small targets pass the screen with few distinct labelled graphs.
-    The screen is exact, so the hits are those of comparing every draw.
+    be isomorphic to it and is dropped without building a graph. The rest are
+    memoized per pair-index mask (small targets pass with few labelled graphs);
+    a new one must also match the target's neighbour degrees, one more round
+    of colour refinement, before it is compared by canonical form. Both
+    screens are isomorphism invariants, so the hits are those of comparing
+    every draw.
     """
     if trials < 1:
         raise ParameterRangeError("trials must be positive")
     n, m = graph.n, graph.m
     if n < 1:
         raise EdgeCountRangeError("the model needs at least one vertex")
+    check_vertex_cap(n)
     target, degrees = canonical_form(graph), sorted(graph.degrees())
+    profile = _neighbour_degrees(graph.degrees(), graph.edges)
     pairs = all_pairs(n)
     rng = random.Random(seed)
     iso_by_mask: dict[int, bool] = {}
@@ -121,13 +135,14 @@ def estimate_prob_isomorphic(graph: Graph, trials: int, seed: int | None = None)
             u, v = pairs[i]
             counts[u] += 1
             counts[v] += 1
-        counts.sort()
-        if counts == degrees:
+        if sorted(counts) == degrees:
             key = sum(1 << i for i in chosen)
             hit = iso_by_mask.get(key)
             if hit is None:
-                sample = Graph(n, frozenset(pairs[i] for i in chosen))
-                hit = iso_by_mask[key] = canonical_form(sample) == target
+                edges = [pairs[i] for i in chosen]
+                hit = iso_by_mask[key] = _neighbour_degrees(counts, edges) == profile and (
+                    canonical_form(Graph(n, frozenset(edges))) == target
+                )
             hits += hit
     estimate = hits / trials
     half = 1.96 * math.sqrt(estimate * (1.0 - estimate) / trials)

@@ -27,6 +27,10 @@ EdgeSet = frozenset[Pair]
 
 ENUMERATION_CAP = 6
 
+# vertex cap for graphs read from text or drawn by the sampler, checked before any
+# work in n: at 2,000 vertices the path and the cycle take 2-3.5 s to search (2-core VM)
+MAX_VERTICES = 2000
+
 _GRAPH6_HEADER = ">>graph6<<"
 
 
@@ -66,6 +70,11 @@ def pair_unrank(index: int) -> Pair:
     while (v + 1) * v // 2 <= index:
         v += 1
     return (index - v * (v - 1) // 2, v)
+
+
+def check_vertex_cap(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise CapExceededError(f"n={n} exceeds the vertex cap of {MAX_VERTICES}")
 
 
 def all_pairs(n: int) -> list[Pair]:
@@ -231,19 +240,12 @@ def _graph6_decode_n(data: bytes) -> tuple[int, bytes]:
 
 def emit_graph6(graph: Graph) -> str:
     """Encode a graph in graph6 format (upper triangle, column order)."""
-    out = bytearray(_graph6_encode_n(graph.n))
-    acc = 0
-    nbits = 0
-    for u, v in all_pairs(graph.n):
-        acc = (acc << 1) | ((graph.adjacency[u] >> v) & 1)
-        nbits += 1
-        if nbits == 6:
-            out.append(63 + acc)
-            acc = 0
-            nbits = 0
-    if nbits:
-        out.append(63 + (acc << (6 - nbits)))
-    return out.decode("ascii")
+    rows = graph.adjacency
+    # column v is bits 0..v-1 of row v, lowest first, zero-padded to whole 6-bit groups
+    bits = "".join(format(rows[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, graph.n))
+    bits += "0" * (-len(bits) % 6)
+    body = bytes(63 + int(bits[i:i + 6], 2) for i in range(0, len(bits), 6))
+    return (_graph6_encode_n(graph.n) + body).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
@@ -260,22 +262,20 @@ def parse_graph6(text: str) -> Graph:
     if any(b < 63 or b > 126 for b in data):
         raise Graph6FormatError("graph6 byte out of range 63..126")
     n, body = _graph6_decode_n(data)
+    check_vertex_cap(n)
     npairs = math.comb(n, 2)
     if len(body) != (npairs + 5) // 6:
         raise Graph6FormatError(
             f"graph6 body has {len(body)} bytes, expected {(npairs + 5) // 6} for n={n}"
         )
+    bits = "".join(format(b - 63, "06b") for b in body)  # column v starts at bit C(v, 2)
     edges = set()
-    pairs = all_pairs(n)
-    idx = 0
-    for b in body:
-        group = b - 63
-        for shift in range(5, -1, -1):
-            if idx >= npairs:
-                break
-            if (group >> shift) & 1:
-                edges.add(pairs[idx])
-            idx += 1
+    for v in range(1, n):
+        start = v * (v - 1) // 2
+        u = bits.find("1", start, start + v)
+        while u >= 0:
+            edges.add((u - start, v))
+            u = bits.find("1", u + 1, start + v)
     return Graph(n, frozenset(edges))
 
 
@@ -295,6 +295,7 @@ def parse_edge_list(text: str) -> Graph:
         n, m = map(int, lines[0].split())
     except ValueError:
         raise VertexRangeError("edge-list header must be 'n m'") from None
+    check_vertex_cap(n)
     pairs = []
     for ln in lines[1:]:
         try:

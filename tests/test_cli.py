@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 import smallgraphs
+from autorbit import canon
 from autorbit.cli import load_graph, main, parse_edges_arg
 from autorbit.errors import AutorbitError
 from autorbit.graphs import emit_edge_list, emit_graph6
@@ -414,6 +416,22 @@ def test_deep_search_exits_2(capsys, tmp_path):
     assert code == 2
     assert not out
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["aut", "--graph", "99999 0"], ["er-sample", "--n", "100000", "--m", "1", "--seed", "1"]],
+)
+def test_vertex_cap_fails_before_the_work(capsys, monkeypatch, argv):
+    def no_search(*args):
+        raise AssertionError("searched past the vertex cap")
+
+    monkeypatch.setattr(canon, "_search", no_search)
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "vertex cap" in err and len(err.strip().splitlines()) == 1
 
 
 def test_parser_is_built_once():

@@ -12,6 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from autorbit.canon import MAX_SEARCH_DEPTH
 from autorbit.cli import main
 from autorbit.graphs import Graph, all_pairs, emit_graph6
 
@@ -34,14 +35,27 @@ def graph_and_pairs(draw):
     return emit_graph6(Graph(n, frozenset(edges))), [f"{u}-{v}" for u, v in chosen]
 
 
-# Graph noise is graph6-alphabet or arbitrary text, not printable ASCII with
-# digits and spaces: an edge-list header such as "300 0" is a valid edgeless
-# graph, and edgeless graphs with hundreds of vertices still take seconds to
-# search (about 6 s at n = 300), which is a speed limit, not an exit-code
-# defect.
+@st.composite
+def edge_list_text(draw):
+    """Edge-list text: an 'n m' header and up to four edge lines, any part of it noisy.
+
+    n is small, or so large that the search fails fast: above the vertex cap
+    at load, else at the depth cap, since at most eight vertices have an edge.
+    Headers in between are left out because an edgeless graph there is
+    searched to the end, which takes seconds to a minute (E300 about 4.5 s,
+    E799 about 60 s): a speed limit, not an exit-code defect.
+    """
+    n = draw(st.one_of(st.integers(-2, 12), st.integers(MAX_SEARCH_DEPTH + 100, 10**12)))
+    pair = st.tuples(st.integers(-1, 14), st.integers(-1, 14)).map(lambda p: f"{p[0]} {p[1]}")
+    lines = draw(st.lists(st.one_of(pair, st.text(alphabet="0123456789 -x", max_size=6)), max_size=4))
+    m = draw(st.one_of(st.just(len(lines)), st.integers(-1, 6)))
+    return draw(st.sampled_from(["\n", "\r\n", "\n\n"])).join([f"{n} {m}", *lines])
+
+
 graph_noise = st.one_of(
     st.text(alphabet=st.characters(min_codepoint=63, max_codepoint=126), max_size=10),
     st.text(max_size=10),
+    edge_list_text(),
 )
 flag_noise = st.one_of(
     st.integers(-2, 10).map(str),

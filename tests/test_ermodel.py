@@ -8,8 +8,8 @@ import pytest
 import smallgraphs
 from oracles import labeled_copy_census
 from autorbit import ermodel
-from autorbit.canon import canonical_form
-from autorbit.errors import EdgeCountRangeError, EmptyEdgeSetError, ParameterRangeError
+from autorbit.canon import canonical_form, is_isomorphic
+from autorbit.errors import CapExceededError, EdgeCountRangeError, EmptyEdgeSetError, ParameterRangeError
 from autorbit.ermodel import (
     count_labeled_copies,
     er_prob_isomorphic,
@@ -20,7 +20,7 @@ from autorbit.ermodel import (
     verify_proof_chain,
 )
 from autorbit.cli import main
-from autorbit.graphs import Graph, edge_set, from_edge_mask
+from autorbit.graphs import MAX_VERTICES, Graph, edge_set, from_edge_mask
 from autorbit.perms import brute_force_aut
 
 
@@ -145,7 +145,15 @@ SCREEN_TARGETS = {
     "K4": smallgraphs.complete(4),  # m = C(n, 2)
     "E5": smallgraphs.empty(5),  # m = 0
     "K1": smallgraphs.empty(1),
+    # er-estimate's shapes, drawn by the sampler
+    "G(6,7)#1": sample_er(6, 7, seed=1),
+    "G(6,7)#5": sample_er(6, 7, seed=5),  # some draws share its neighbour degrees, not its class
+    "G(7,6)#1": sample_er(7, 6, seed=1),  # P7: C3 + P4 has the same neighbour degrees
+    "G(8,6)#1": sample_er(8, 6, seed=1),
+    "G(8,6)#3": sample_er(8, 6, seed=3),
 }
+# P7 plus an isolated vertex; C3 + P4 + K1 has the same neighbour degrees
+P7_K1 = sample_er(8, 6, seed=26)
 
 
 @pytest.mark.parametrize("name", sorted(SCREEN_TARGETS))
@@ -179,6 +187,26 @@ def test_screened_draws_are_searched_once_per_labelled_graph(monkeypatch):
     assert len(calls) <= 1 + 3  # the target, then each labelled wedge once
 
 
+def test_search_rejects_draws_that_share_the_neighbour_degrees_of_another_class(monkeypatch):
+    assert sorted(P7_K1.degrees()) == [0, 1, 1, 2, 2, 2, 2, 2] and is_isomorphic(
+        P7_K1, Graph(8, edge_set([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]))
+    )
+    target = canonical_form(P7_K1)
+    searched = []
+    monkeypatch.setattr(ermodel, "canonical_form", lambda g: searched.append(canonical_form(g)) or searched[-1])
+    assert estimate_prob_isomorphic(P7_K1, 1000, seed=1).hits == 57  # as when every draw was searched
+    assert 0 < sum(cert != target for cert in searched)
+
+
+def test_neighbour_degree_screen_searches_almost_only_hits(monkeypatch):
+    # without the screen, 206 of the 2,000 draws (distinct degree matches) are searched
+    calls = []
+    monkeypatch.setattr(ermodel, "canonical_form", lambda g: calls.append(g) or canonical_form(g))
+    estimate = estimate_prob_isomorphic(SCREEN_TARGETS["G(8,6)#3"], 2000, seed=1)
+    assert estimate.hits == 32
+    assert len(calls) <= 1 + estimate.hits  # the target, then only draws in its class
+
+
 def test_estimate_rejects_a_target_without_vertices(capsys, tmp_path):
     with pytest.raises(EdgeCountRangeError):
         estimate_prob_isomorphic(Graph(0, frozenset()), trials=5, seed=1)
@@ -188,6 +216,15 @@ def test_estimate_rejects_a_target_without_vertices(capsys, tmp_path):
     captured = capsys.readouterr()
     assert not captured.out
     assert captured.err == "error: the model needs at least one vertex\n"
+
+
+def test_sampler_and_estimator_check_the_vertex_cap():
+    over = MAX_VERTICES + 1
+    with pytest.raises(CapExceededError):
+        sample_er(over, 1, seed=1)
+    with pytest.raises(CapExceededError):
+        estimate_prob_isomorphic(Graph(over, frozenset()), trials=1, seed=1)
+    assert sample_er(MAX_VERTICES, 1, seed=1).n == MAX_VERTICES
 
 
 def test_estimate_needs_positive_trials():

@@ -16,7 +16,9 @@ from autorbit.errors import (
     VertexRangeError,
 )
 from autorbit.graphs import (
+    MAX_VERTICES,
     Graph,
+    _graph6_encode_n,
     all_pairs,
     edge_set,
     emit_edge_list,
@@ -178,6 +180,44 @@ def test_graph6_roundtrip_and_reference_codec_agreement():
 def test_graph6_large_n_size_field():
     g = smallgraphs.path(80)
     assert parse_graph6(emit_graph6(g)) == g
+
+
+def pair_by_pair_graph6(graph: Graph) -> str:
+    """The graph6 encoder as it was before it walked the rows by column."""
+    out = bytearray(_graph6_encode_n(graph.n))
+    acc = 0
+    nbits = 0
+    for u, v in all_pairs(graph.n):
+        acc = (acc << 1) | ((graph.adjacency[u] >> v) & 1)
+        nbits += 1
+        if nbits == 6:
+            out.append(63 + acc)
+            acc = 0
+            nbits = 0
+    if nbits:
+        out.append(63 + (acc << (6 - nbits)))
+    return out.decode("ascii")
+
+
+def test_graph6_encoder_matches_the_pair_by_pair_encoder():
+    rng = random.Random(20261019)
+    for n in range(71):
+        for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+            g = Graph(n, frozenset(p for p in all_pairs(n) if rng.random() < density))
+            text = emit_graph6(g)
+            assert text == pair_by_pair_graph6(g), n
+            assert parse_graph6(text) == g
+
+
+def test_vertex_cap_is_checked_before_the_body():
+    assert MAX_VERTICES >= 1100  # the search's depth cap must stay reachable
+    at_cap = emit_graph6(Graph(MAX_VERTICES, frozenset()))
+    assert parse_graph6(at_cap).n == parse_edge_list(f"{MAX_VERTICES} 0").n == MAX_VERTICES
+    over = emit_graph6(Graph(MAX_VERTICES + 1, frozenset()))
+    huge = _graph6_encode_n(10**9).decode()
+    for text in (over, over[:4], huge, f"{MAX_VERTICES + 1} 0", "99999 5\n0 1"):
+        with pytest.raises(CapExceededError):
+            (parse_edge_list if " " in text else parse_graph6)(text)
 
 
 def test_edge_list_roundtrip(twin_hubs):
