@@ -188,9 +188,7 @@ def test_screened_draws_are_searched_once_per_labelled_graph(monkeypatch):
 
 
 def test_search_rejects_draws_that_share_the_neighbour_degrees_of_another_class(monkeypatch):
-    assert sorted(P7_K1.degrees()) == [0, 1, 1, 2, 2, 2, 2, 2] and is_isomorphic(
-        P7_K1, Graph(8, edge_set([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]))
-    )
+    assert is_isomorphic(P7_K1, Graph(8, edge_set([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)])))
     target = canonical_form(P7_K1)
     searched = []
     monkeypatch.setattr(ermodel, "canonical_form", lambda g: searched.append(canonical_form(g)) or searched[-1])

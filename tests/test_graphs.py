@@ -183,7 +183,7 @@ def test_graph6_large_n_size_field():
 
 
 def pair_by_pair_graph6(graph: Graph) -> str:
-    """The graph6 encoder as it was before it walked the rows by column."""
+    """Reference graph6 encoder: one bit per pair, in pair-index order."""
     out = bytearray(_graph6_encode_n(graph.n))
     acc = 0
     nbits = 0
