@@ -16,7 +16,8 @@ most n - 1 harvested generators are strong for the first path's branching
 sequence and the group order is the product of orbit lengths along it. A
 second pair colour rides in the row ints (bits n..2n-1) and in a second
 triangle after the first, so the same search finds the automorphisms that
-keep an edge set in place. Correctness before speed: the whole engine is
+keep an edge set in place. An isomorphism test stops at a leaf equal to the
+other graph's certificate. Correctness before speed: the whole engine is
 validated against the brute-force definition on every small graph.
 """
 
@@ -121,9 +122,9 @@ class _SearchOutcome:
     nodes: int = 0
 
 
-def _search(graph: Graph, colour: EdgeSet | None = None) -> _SearchOutcome:
+def _search(graph: Graph, colour: EdgeSet | None = None, stop: int | None = None) -> _SearchOutcome:
     """Individualization-refinement over the graph, plus ``colour`` (if given,
-    even empty) as a second pair colour at row bits n..2n-1."""
+    even empty) as a second pair colour at row bits n..2n-1, up to a leaf equal to ``stop``."""
     n = graph.n
     colours = [graph.edges] if colour is None else [graph.edges, colour]
     rows = list(graph.adjacency)
@@ -182,8 +183,8 @@ def _search(graph: Graph, colour: EdgeSet | None = None) -> _SearchOutcome:
                 gens.append(tuple(g))
                 # jump back: this subtree is the image of one already searched
                 return next(i for i, (a, b) in enumerate(zip(base, outcome.base)) if a != b)
-            best_bits = min(best_bits, bits)
-            return depth
+            best_bits = min(best_bits, bits)  # a leaf equal to stop, a certificate, is the least
+            return -1 if bits == stop else depth  # -1 unwinds every level
         head = cells[:target]
         cell = cells[target]
         tail = cells[target + 1:]
@@ -212,15 +213,15 @@ def _search(graph: Graph, colour: EdgeSet | None = None) -> _SearchOutcome:
     return outcome
 
 
-def _outcome(graph: Graph) -> _SearchOutcome:
+def _outcome(graph: Graph, stop: int | None = None) -> _SearchOutcome:
     """The graph's search, run once per Graph object and kept on it like ``adjacency``.
 
     The group and the certificate both derive from it; a separately built
-    equal graph is searched again.
+    equal graph is searched again. A search stopped at ``stop`` is not kept.
     """
-    outcome = graph.__dict__.get("_search_outcome")
-    if outcome is None:
-        outcome = graph.__dict__["_search_outcome"] = _search(graph)
+    outcome = graph.__dict__.get("_search_outcome") or _search(graph, stop=stop)
+    if outcome.best_bits != stop:
+        graph.__dict__["_search_outcome"] = outcome
     return outcome
 
 
@@ -265,6 +266,10 @@ def canonical_form(graph: Graph) -> bytes:
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
+    """Whether g ≅ h, searching ``h`` only up to a leaf equal to ``g``'s certificate, which is exact:
+    such a leaf relabels ``h`` onto that form, and if g ≅ h, the stopped search is a prefix of the
+    full one, whose best leaf is that form."""
     if g.n != h.n or g.m != h.m or sorted(g.degrees()) != sorted(h.degrees()):
         return False
-    return canonical_form(g) == canonical_form(h)
+    stop = _outcome(g).best_bits
+    return _outcome(h, stop).best_bits == stop

@@ -11,9 +11,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .canon import automorphism_group, canonical_form
+from .canon import automorphism_group, is_isomorphic
 from .errors import EdgeCountRangeError, ParameterRangeError
 from .graphs import EdgeSet, Graph, Pair, all_pairs, check_vertex_cap, edge_set, pair_unrank
 from .ratio import AutCache, verify_ratio_identity
@@ -69,12 +69,19 @@ def er_prob_isomorphic(graph: Graph, aut_order: int | None = None) -> Fraction:
     return Fraction(copies, math.comb(math.comb(n, 2), m))
 
 
-def _draw_pairs(n: int, m: int, rng: random.Random) -> set[int]:
-    """Indices of m distinct pairs out of C(n, 2) by Floyd's subset sampling."""
-    total = math.comb(n, 2)
+def _floyd_steps(n: int, m: int) -> Iterator[tuple[int, int]]:
+    """Floyd's steps j for m of C(n, 2) pairs, each with the bit length k of j + 1."""
+    return ((j, (j + 1).bit_length()) for j in range(math.comb(n, 2) - m, math.comb(n, 2)))
+
+
+def _draw_pairs(rng: random.Random, steps: Iterable[tuple[int, int]]) -> set[int]:
+    """Pair indices by Floyd's subset sampling; step (j, k) draws below j + 1 as ``randrange(j + 1)`` does."""
+    getrandbits = rng.getrandbits
     chosen: set[int] = set()
-    for j in range(total - m, total):
-        t = rng.randrange(j + 1)
+    for j, k in steps:
+        t = getrandbits(k)
+        while t > j:
+            t = getrandbits(k)
         chosen.add(t if t not in chosen else j)
     return chosen
 
@@ -83,7 +90,7 @@ def sample_er(n: int, m: int, seed: int | random.Random | None = None) -> Graph:
     """Uniform graph with n vertices and exactly m edges, deterministic per seed.
 
     Edges are drawn without replacement over pair indices using Floyd's
-    subset-sampling algorithm.
+    subset-sampling algorithm, drawing the same stream as ``randrange``.
     """
     if n < 1:
         raise EdgeCountRangeError("the model needs at least one vertex")
@@ -92,7 +99,7 @@ def sample_er(n: int, m: int, seed: int | random.Random | None = None) -> Graph:
     if not 0 <= m <= total:
         raise EdgeCountRangeError(f"m={m} outside 0..{total} for n={n}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    return Graph(n, frozenset(pair_unrank(i) for i in _draw_pairs(n, m, rng)))
+    return Graph(n, frozenset(pair_unrank(i) for i in _draw_pairs(rng, _floyd_steps(n, m))))
 
 
 def _neighbour_degrees(degrees: Sequence[int], edges: Iterable[Pair]) -> list[list[int]]:
@@ -112,9 +119,8 @@ def estimate_prob_isomorphic(graph: Graph, trials: int, seed: int | None = None)
     be isomorphic to it and is dropped without building a graph. The rest are
     memoized per pair-index mask (small targets pass with few labelled graphs);
     a new one must also match the target's neighbour degrees, one more round
-    of colour refinement, before it is compared by canonical form. Both
-    screens are isomorphism invariants, so the hits are those of comparing
-    every draw.
+    of colour refinement, before ``is_isomorphic`` confirms it. Both screens
+    are isomorphism invariants, so the hits are those of comparing every draw.
     """
     if trials < 1:
         raise ParameterRangeError("trials must be positive")
@@ -122,14 +128,13 @@ def estimate_prob_isomorphic(graph: Graph, trials: int, seed: int | None = None)
     if n < 1:
         raise EdgeCountRangeError("the model needs at least one vertex")
     check_vertex_cap(n)
-    target, degrees = canonical_form(graph), sorted(graph.degrees())
-    profile = _neighbour_degrees(graph.degrees(), graph.edges)
+    degrees, profile = sorted(graph.degrees()), _neighbour_degrees(graph.degrees(), graph.edges)
     pairs = all_pairs(n)
-    rng = random.Random(seed)
+    rng, steps = random.Random(seed), tuple(_floyd_steps(n, m))
     iso_by_mask: dict[int, bool] = {}
     hits = 0
     for _ in range(trials):
-        chosen = _draw_pairs(n, m, rng)
+        chosen = _draw_pairs(rng, steps)
         counts = [0] * n
         for i in chosen:
             u, v = pairs[i]
@@ -140,9 +145,8 @@ def estimate_prob_isomorphic(graph: Graph, trials: int, seed: int | None = None)
             hit = iso_by_mask.get(key)
             if hit is None:
                 edges = [pairs[i] for i in chosen]
-                hit = iso_by_mask[key] = _neighbour_degrees(counts, edges) == profile and (
-                    canonical_form(Graph(n, frozenset(edges))) == target
-                )
+                screened = _neighbour_degrees(counts, edges) == profile
+                hit = iso_by_mask[key] = screened and is_isomorphic(graph, Graph(n, frozenset(edges)))
             hits += hit
     estimate = hits / trials
     half = 1.96 * math.sqrt(estimate * (1.0 - estimate) / trials)

@@ -30,6 +30,16 @@ def brute_aut_order(g: Graph) -> int:
     )
 
 
+def randrange_floyd(n: int, m: int, rng) -> set[int]:
+    """Indices of m distinct pairs out of C(n, 2) by Floyd's subset sampling, one ``randrange`` per step."""
+    total = math.comb(n, 2)
+    chosen: set[int] = set()
+    for j in range(total - m, total):
+        t = rng.randrange(j + 1)
+        chosen.add(t if t not in chosen else j)
+    return chosen
+
+
 def labeled_copy_census(n: int) -> dict[int, list[int]]:
     """Group every edge mask on n vertices into brute-force isomorphism classes.
 

@@ -13,6 +13,7 @@ from autorbit.canon import (
     is_isomorphic,
     unit_partition,
 )
+from autorbit.ermodel import _neighbour_degrees
 from autorbit.errors import CapExceededError
 from autorbit.graphs import Graph, from_edge_mask, new_graph
 from autorbit.perms import apply_graph, brute_force_aut, is_automorphism, make_perm
@@ -122,6 +123,63 @@ def test_the_two_wedges_sharing_an_edge_are_isomorphic():
 def test_different_sizes_never_isomorphic():
     assert not is_isomorphic(smallgraphs.empty(2), smallgraphs.empty(3))
     assert canonical_form(smallgraphs.empty(2)) != canonical_form(smallgraphs.empty(3))
+
+
+# pairs that share degrees and neighbour degrees, so only the search tells them apart
+SCREENED_PAIRS = {
+    "C6 vs 2C3": (smallgraphs.cycle(6), new_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])),
+    "P7+K1 vs C3+P4+K1": (
+        new_graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]),
+        new_graph(8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6)]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCREENED_PAIRS))
+def test_pairs_passing_both_screens_are_told_apart(name):
+    g, h = SCREENED_PAIRS[name]
+    assert sorted(g.degrees()) == sorted(h.degrees())
+    assert _neighbour_degrees(g.degrees(), g.edges) == _neighbour_degrees(h.degrees(), h.edges)
+    assert not brute_isomorphic(g, h)
+    assert not is_isomorphic(g, h)
+    assert not is_isomorphic(h, g)
+
+
+def test_isomorphism_search_stops_at_the_certificate_leaf(monkeypatch):
+    outcomes = []
+    real = canon._search
+    monkeypatch.setattr(canon, "_search", lambda *a, **k: outcomes.append(real(*a, **k)) or outcomes[-1])
+    g = smallgraphs.complete(6)
+    assert is_isomorphic(g, smallgraphs.complete(6))
+    full, stopped = outcomes
+    assert full.leaves > 1 and stopped.leaves == 1  # every leaf of K6 is its certificate
+
+
+@pytest.mark.parametrize(
+    "g",
+    [smallgraphs.empty(5), smallgraphs.complete(5), smallgraphs.petersen(), smallgraphs.hypercube(3),
+     smallgraphs.twin_hubs(), smallgraphs.cycle(6), SCREENED_PAIRS["P7+K1 vs C3+P4+K1"][0]],
+    ids=["E5", "K5", "Petersen", "Q3", "twin-hubs", "C6", "P7+K1"],
+)
+def test_isomorphism_test_leaves_the_second_graph_searchable(g):
+    # a stopped search has not seen the whole group, so it must not stand in for the full one
+    rng = random.Random(g.mask)
+    for _ in range(3):
+        f = make_perm(rng.sample(range(g.n), g.n))
+        h, fresh = apply_graph(f, g), apply_graph(f, g)
+        assert is_isomorphic(g, h)
+        assert canonical_form(h) == canonical_form(fresh)
+        assert automorphism_group(h).order == automorphism_group(fresh).order
+
+
+@pytest.mark.parametrize("name", sorted(SCREENED_PAIRS))
+def test_isomorphism_test_without_a_match_keeps_a_complete_search(name):
+    g, other = SCREENED_PAIRS[name]
+    h, fresh = Graph(other.n, other.edges), Graph(other.n, other.edges)
+    assert not is_isomorphic(g, h)
+    assert "_search_outcome" in h.__dict__
+    assert canonical_form(h) == canonical_form(fresh)
+    assert automorphism_group(h).order == automorphism_group(fresh).order
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

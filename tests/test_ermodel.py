@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import smallgraphs
-from oracles import labeled_copy_census
+from oracles import labeled_copy_census, randrange_floyd
 from autorbit import ermodel
 from autorbit.canon import canonical_form, is_isomorphic
 from autorbit.errors import CapExceededError, EdgeCountRangeError, EmptyEdgeSetError, ParameterRangeError
@@ -20,7 +20,7 @@ from autorbit.ermodel import (
     verify_proof_chain,
 )
 from autorbit.cli import main
-from autorbit.graphs import MAX_VERTICES, Graph, edge_set, from_edge_mask
+from autorbit.graphs import MAX_VERTICES, Graph, edge_set, from_edge_mask, pair_unrank
 from autorbit.perms import brute_force_aut
 
 
@@ -89,6 +89,22 @@ def test_sample_er_draws_are_pinned():
     ]
     rng = random.Random(5)
     assert [sample_er(7, 9, rng).mask for _ in range(3)] == [1165969, 170127, 1061737]
+
+
+@pytest.mark.parametrize(
+    "n, m", [(1, 0), (2, 0), (2, 1), (6, 0), (6, 15), (6, 7), (7, 6), (8, 6), (2000, 5)]
+)
+def test_draws_follow_the_randrange_stream(n, m):
+    # each step's getrandbits draws are those randrange makes, so the generators stay in step
+    for seed in range(5):
+        reference, lazy, precomputed, sampled = (random.Random(seed) for _ in range(4))
+        steps = tuple(ermodel._floyd_steps(n, m))
+        for _ in range(4):
+            expected = randrange_floyd(n, m, reference)
+            assert ermodel._draw_pairs(lazy, ermodel._floyd_steps(n, m)) == expected
+            assert ermodel._draw_pairs(precomputed, steps) == expected
+            assert sample_er(n, m, sampled).edges == {pair_unrank(i) for i in expected}
+        assert lazy.getstate() == precomputed.getstate() == sampled.getstate() == reference.getstate()
 
 
 def test_sample_er_range_checks():
@@ -182,27 +198,26 @@ def test_estimate_hits_are_pinned(target, trials, seed, hits):
 def test_screened_draws_are_searched_once_per_labelled_graph(monkeypatch):
     # every wedge draw passes the degree screen, but there are only 3 labelled wedges
     calls = []
-    monkeypatch.setattr(ermodel, "canonical_form", lambda g: calls.append(g) or canonical_form(g))
+    monkeypatch.setattr(ermodel, "is_isomorphic", lambda g, h: calls.append(h) or is_isomorphic(g, h))
     assert estimate_prob_isomorphic(smallgraphs.wedge(), 2000, seed=1).hits == 2000
-    assert len(calls) <= 1 + 3  # the target, then each labelled wedge once
+    assert len(calls) <= 1 + 3  # the target, searched in the first confirmation, then each labelled wedge once
 
 
 def test_search_rejects_draws_that_share_the_neighbour_degrees_of_another_class(monkeypatch):
     assert is_isomorphic(P7_K1, Graph(8, edge_set([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)])))
-    target = canonical_form(P7_K1)
-    searched = []
-    monkeypatch.setattr(ermodel, "canonical_form", lambda g: searched.append(canonical_form(g)) or searched[-1])
+    verdicts = []
+    monkeypatch.setattr(ermodel, "is_isomorphic", lambda g, h: verdicts.append(is_isomorphic(g, h)) or verdicts[-1])
     assert estimate_prob_isomorphic(P7_K1, 1000, seed=1).hits == 57  # as when every draw was searched
-    assert 0 < sum(cert != target for cert in searched)
+    assert 0 < verdicts.count(False)
 
 
 def test_neighbour_degree_screen_searches_almost_only_hits(monkeypatch):
     # without the screen, 206 of the 2,000 draws (distinct degree matches) are searched
     calls = []
-    monkeypatch.setattr(ermodel, "canonical_form", lambda g: calls.append(g) or canonical_form(g))
+    monkeypatch.setattr(ermodel, "is_isomorphic", lambda g, h: calls.append(h) or is_isomorphic(g, h))
     estimate = estimate_prob_isomorphic(SCREEN_TARGETS["G(8,6)#3"], 2000, seed=1)
     assert estimate.hits == 32
-    assert len(calls) <= 1 + estimate.hits  # the target, then only draws in its class
+    assert len(calls) <= 1 + estimate.hits  # only draws in the target's class are confirmed
 
 
 def test_estimate_rejects_a_target_without_vertices(capsys, tmp_path):
