@@ -80,18 +80,27 @@ def stabilizer_orders():
     return cases
 
 
-def outcome_digests():
+def raw_outcomes():
+    """The raw ``_search`` outcome of every seeded case, plain and with a second pair colour."""
     rng = random.Random("golden-outcomes")
-    digests = []
     for n in range(41):
         for _ in range(3):
             graph = smallgraphs.seeded_graph(rng, n)
             pairs = rng.sample(all_pairs(n), rng.randint(0, math.comb(n, 2)) // 4)
             for colour in (None, edge_set(pairs, n)):
-                outcome = canon._search(graph, colour)
-                payload = (outcome.generators, outcome.base, outcome.best_bits, outcome.leaves)
-                digests.append(hashlib.sha256(repr(payload).encode()).hexdigest()[:16])
-    return digests
+                yield canon._search(graph, colour)
+
+
+def digest(payload):
+    return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
+
+
+def outcome_digests():
+    return [digest((o.generators, o.base, o.best_bits, o.leaves)) for o in raw_outcomes()]
+
+
+def base_and_best_digests():
+    return [digest((o.base, o.best_bits)) for o in raw_outcomes()]
 
 
 PINNED = {
@@ -115,6 +124,10 @@ def test_edge_set_stabilizer_orders_match_golden():
 
 def test_raw_search_outcomes_match_golden():
     assert outcome_digests() == GOLDEN["outcome_digests"]
+
+
+def test_raw_search_bases_and_best_leaves_match_golden():
+    assert base_and_best_digests() == GOLDEN["base_best_digests"]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
