@@ -1,16 +1,19 @@
 """Automorphism search, canonical certificates, and isomorphism testing.
 
 The engine is classic individualization-refinement: refine an ordered vertex
-partition to its coarsest equitable refinement, pick the first smallest
-non-singleton cell, individualize each of its vertices in turn, and recurse.
-Refinement counts neighbours only into the cells that are new since its last
-pass (at a search node, just the individualized vertex), which gives the
-same cells in the same order as recounting every cell. Discrete partitions
-(leaves) induce a relabeling of the graph, whose bits are set from the edge
-lists through a vertex-to-position table; the certificate is the
-lexicographically smallest relabeled adjacency bitstring over all leaves. A
-leaf whose bitstring equals the first leaf's yields an automorphism, and the
-search jumps back to the first-path node its path left. Known automorphisms
+partition, with each cell's vertex mask, to its coarsest equitable
+refinement, pick the first smallest non-singleton cell, individualize each of
+its vertices in turn, and recurse. Refinement counts neighbours only into the
+cells that are new since its last pass, and looks only next to those that are
+not the largest fragment of a split (at a search node, just the
+individualized vertex); that gives the same cells in the same order as
+recounting every cell. Discrete partitions (leaves) relabel the graph, whose
+bits are set from the edge lists through a vertex-to-position table; the
+certificate is the lexicographically smallest relabeled adjacency bitstring
+over all leaves. Off the first path, a node whose cell sizes match the first
+path's at its depth maps those cells onto its own in order; if that is an
+automorphism (at a leaf: if the leaf equals the first), it is kept and the
+search jumps back to the first-path node the path left. Known automorphisms
 fixing the current branching sequence skip equivalent siblings, so the at
 most n - 1 harvested generators are strong for the first path's branching
 sequence and the group order is the product of orbit lengths along it. A
@@ -50,7 +53,8 @@ def _validate_partition(n: int, cells: OrderedPartition) -> OrderedPartition:
 
 
 def _refine(
-    rows: tuple[int, ...], cells: OrderedPartition, layers: int = 1, new: list[int] | None = None
+    rows: tuple[int, ...], cells: OrderedPartition, layers: int = 1, new: list[int] | None = None,
+    masks: list[int] | None = None,
 ) -> OrderedPartition:
     """Coarsest equitable refinement of an ordered partition.
 
@@ -60,25 +64,30 @@ def _refine(
     signature, so the result is deterministic.
 
     Only counts into the ``new`` cells (indices, all by default) are taken,
-    only cells next to one of them are examined, and each pass's new cells
-    are the fragments of the cells it split. A cell's members already agree
-    on their counts into every other cell, so the new counts group them, and
-    sort the fragments, as the full vector would. Passing just a singleton
-    [v] split off an equitable partition (sorted, as returned here) is exact
-    too: the count into the rest of v's old cell follows from the count into
-    [v], which comes first.
+    and each pass's new cells are the fragments of the cells it split. A
+    cell's members already agree on their counts into every other cell, so
+    the new counts group them, and sort the fragments, as the full vector
+    would. A member's count into the largest fragment of a split is its
+    count into the old cell, the same across its own cell, less its counts
+    into the other fragments; so only cells next to those others are looked
+    at, and their members next to none share one signature. Passing just a
+    singleton [v] split off an equitable partition (sorted, as returned here)
+    is exact too, with the rest of v's old cell not counted at all, as [v]
+    comes first. ``masks``, the cells' vertex bitmasks if given, is updated
+    in place.
     """
     n = len(rows)
     if new is None:  # else the cells come sorted and non-empty, as this returns them
         cells = [sorted(c) for c in cells if c]
-    masks = [0] * len(cells)  # vertex bitmask per cell, 0 until needed
-    pending = range(len(cells)) if new is None else new
+        new = range(len(cells))
+    masks = [sum(1 << w for w in c) for c in cells] if masks is None else masks
+    pending, quiet = new, set()
     while pending:
-        near = 0  # neighbours of the new cells, under any colour
+        near = 0  # neighbours of the loud new cells, under any colour
         for j in pending:
-            masks[j] = masks[j] or sum(1 << w for w in cells[j])
-            for w in cells[j]:
-                near |= rows[w]
+            if j not in quiet:
+                for w in cells[j]:
+                    near |= rows[w]
         if not near:  # no cell has a neighbour in the new cells, so none can split
             break
         counted = [masks[j] << (k * n) for k in range(layers) for j in pending]
@@ -86,24 +95,33 @@ def _refine(
             near |= near >> (k * n)
         out: OrderedPartition = []
         out_masks: list[int] = []
-        pending = []
+        pending, quiet = [], set()
         for cell, mask in zip(cells, masks):
-            if len(cell) > 1:
-                mask = mask or sum(1 << v for v in cell)
-                if mask & near:
-                    groups: dict[tuple[int, ...], list[int]] = {}
-                    for v in cell:
-                        sig = tuple([(rows[v] & m).bit_count() for m in counted])
-                        groups.setdefault(sig, []).append(v)
-                    if len(groups) > 1:
-                        for sig in sorted(groups):
-                            pending.append(len(out))
-                            out.append(groups[sig])
-                            out_masks.append(0)
-                        continue
+            if len(cell) > 1 and mask & near:
+                groups: dict[tuple[int, ...], list[int]] = {}
+                calm = []  # the members meeting no loud cell
+                for v in cell:
+                    if near >> v & 1:
+                        groups.setdefault(tuple([(rows[v] & m).bit_count() for m in counted]), []).append(v)
+                    else:
+                        calm.append(v)
+                if calm:
+                    same = tuple([(rows[calm[0]] & m).bit_count() for m in counted])
+                    groups[same] = sorted(groups.get(same, []) + calm)
+                if len(groups) > 1:
+                    fragments = [groups[sig] for sig in sorted(groups)]
+                    largest = fragments.index(max(fragments, key=len))
+                    parts = [0 if i == largest else sum(1 << v for v in f) for i, f in enumerate(fragments)]
+                    parts[largest] = mask ^ sum(parts)
+                    quiet.add(len(out) + largest)
+                    pending += range(len(out), len(out) + len(fragments))
+                    out += fragments
+                    out_masks += parts
+                    continue
             out.append(cell)
             out_masks.append(mask)
-        cells, masks = out, out_masks
+        cells = out
+        masks[:] = out_masks
     return cells
 
 
@@ -133,9 +151,8 @@ def _search(graph: Graph, colour: EdgeSet | None = None, stop: int | None = None
         rows[v] |= 1 << (n + u)
     outcome = _SearchOutcome()
     gens = outcome.generators
-    first_bits: int | None = None
-    first_lab: Perm = ()
-    best_bits = 0
+    first_cells: list[OrderedPartition] = []  # the first path's refined partitions, by depth
+    best_bits: int | None = None  # None until the first leaf
     # leaf bits: each colour's relabeled upper triangle, row-major, as 0/1 text after a "0"
     # (so n < 2 parses); colour k's pair at positions i < j is character k*span + start[i] + j
     span = math.comb(n, 2)
@@ -153,62 +170,61 @@ def _search(graph: Graph, colour: EdgeSet | None = None, stop: int | None = None
                 text[shift + (start[i] + j if i < j else start[j] + i)] = 49  # "1"
         return int(text, 2)
 
-    def recurse(cells: OrderedPartition, base: tuple[int, ...], new: list[int] | None) -> int:
+    def recurse(cells: OrderedPartition, masks: list[int], base: tuple[int, ...], new: list[int]) -> int:
         """Search below a node; return the depth of the first-path node to go on at."""
-        nonlocal first_bits, first_lab, best_bits
+        nonlocal best_bits
         depth = len(base)
         if depth == MAX_SEARCH_DEPTH:
             raise CapExceededError(f"search depth exceeds the cap of {MAX_SEARCH_DEPTH} levels")
-        cells = _refine(rows, cells, len(colours), new)
+        cells = _refine(rows, cells, len(colours), new, masks)
         outcome.nodes += 1
-        target = -1
-        target_size = n + 1
-        for i, cell in enumerate(cells):
-            size = len(cell)
-            if 1 < size < target_size:
-                target_size = size
-                target = i
-        if target < 0:
-            lab = tuple(cell[0] for cell in cells)
-            bits = leaf_bits(lab)
-            outcome.leaves += 1
-            if first_bits is None:
-                outcome.base = base
-                first_bits = best_bits = bits
-                first_lab = lab
-            elif bits == first_bits:
-                g = [0] * n
-                for a, b in zip(first_lab, lab):
-                    g[a] = b
+        open_cells = [(len(cell), i) for i, cell in enumerate(cells) if len(cell) > 1]
+        target = min(open_cells)[1] if open_cells else -1  # the first smallest
+        outcome.leaves += target < 0
+        on_path = best_bits is None
+        if on_path:
+            first_cells.append(cells)
+        elif depth < len(first_cells) and list(map(len, cells)) == list(map(len, first_cells[depth])):
+            # an automorphism mapping the first path's cells here onto these maps the subtree
+            # searched below that node onto this one (and the first leaf onto a leaf)
+            g = [0] * n
+            for a, b in zip(first_cells[depth], cells):
+                for x, y in zip(a, b):
+                    g[x] = y
+            if all(rows[g[u]] >> (k + g[v]) & 1 for k, pairs in zip((0, n), colours) for u, v in pairs):
                 gens.append(tuple(g))
-                # jump back: this subtree is the image of one already searched
+                # jump back to the first-path node this path left
                 return next(i for i, (a, b) in enumerate(zip(base, outcome.base)) if a != b)
+        if target < 0:
+            bits = leaf_bits(tuple(cell[0] for cell in cells))
+            if on_path:
+                outcome.base = base
+                best_bits = bits
             best_bits = min(best_bits, bits)  # a leaf equal to stop, a certificate, is the least
             return -1 if bits == stop else depth  # -1 unwinds every level
-        head = cells[:target]
-        cell = cells[target]
-        tail = cells[target + 1:]
-        # ``orbit``: the tried siblings' orbit under ``fixers``, the generators
-        # fixing ``base``, refiltered when the harvest has grown since
-        fixers: list[Perm] = []
-        filtered = 0
-        orbit: set[int] = set()
+        head, cell, tail = cells[:target], cells[target], cells[target + 1:]
+        mask_head, mask, mask_tail = masks[:target], masks[target], masks[target + 1:]
+        # ``orbit``: the tried siblings' orbit under ``fixers``, the generators fixing ``base``
+        # (on the first path, every one found so far), refiltered when the harvest has grown since
+        fixers, filtered, orbit = [], 0, set()
         for v in cell:
             if orbit:
                 if len(gens) > filtered:
+                    fresh = gens[filtered:] if on_path else [g for g in gens if all(g[b] == b for b in base)]
+                    fixers = gens if on_path else fresh
                     filtered = len(gens)
-                    fixers = [g for g in gens if all(g[b] == b for b in base)]
-                    orbit = point_orbit(orbit, fixers)
+                    point_orbit({g[x] for g in fresh for x in orbit}, fixers, orbit)
                 if v in orbit:
                     continue
-            rest = [w for w in cell if w != v]
-            resume = recurse(head + [[v], rest] + tail, base + (v,), [target])
+            child = head + [[v], [w for w in cell if w != v]] + tail
+            resume = recurse(child, mask_head + [1 << v, mask ^ 1 << v] + mask_tail, base + (v,), [target])
             if resume < depth:
                 return resume
-            orbit |= point_orbit([v], fixers)
+            point_orbit([v], fixers, orbit)
         return depth
 
-    recurse(unit_partition(n), (), None)
+    root = unit_partition(n)
+    recurse(root, [(1 << n) - 1] * len(root), (), [0] * len(root))
     outcome.best_bits = best_bits
     return outcome
 
@@ -269,7 +285,7 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     """Whether g ≅ h, searching ``h`` only up to a leaf equal to ``g``'s certificate, which is exact:
     such a leaf relabels ``h`` onto that form, and if g ≅ h, the stopped search is a prefix of the
     full one, whose best leaf is that form."""
-    if g.n != h.n or g.m != h.m or sorted(g.degrees()) != sorted(h.degrees()):
+    if g.n != h.n or g.m != h.m or g.degree_sequence != h.degree_sequence:
         return False
     stop = _outcome(g).best_bits
     return _outcome(h, stop).best_bits == stop

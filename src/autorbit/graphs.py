@@ -134,6 +134,11 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(row.bit_count() for row in self.adjacency)
 
+    @cached_property
+    def degree_sequence(self) -> tuple[int, ...]:
+        """The degrees in increasing order, kept like ``adjacency``."""
+        return tuple(sorted(self.degrees()))
+
     def delete_edges(self, deleted: Iterable[Pair]) -> "Graph":
         """Graph on the same vertices with ``deleted`` removed from the edge set."""
         dset = edge_set(deleted, self.n)

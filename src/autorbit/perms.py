@@ -161,10 +161,12 @@ def pair_action_table(f: Perm) -> tuple[int, ...]:
     return tuple(table)
 
 
-def point_orbit(points: Iterable[int], generators: Sequence[Perm]) -> set[int]:
-    """Every vertex that the generated group maps some vertex of ``points`` to."""
-    seen = set(points)
-    frontier = list(seen)
+def point_orbit(points: Iterable[int], generators: Sequence[Perm], seen: set[int] | None = None) -> set[int]:
+    """Every vertex that the generated group maps some vertex of ``points`` to, added in place
+    to ``seen`` if given: a set the group maps onto itself, which the walk does not enter."""
+    seen = set() if seen is None else seen
+    frontier = set(points) - seen
+    seen |= frontier
     while frontier:
         frontier = {g[x] for x in frontier for g in generators} - seen
         seen |= frontier
@@ -180,15 +182,17 @@ def reduce_generators(generators: Iterable[Perm], base: Sequence[int]) -> tuple[
     first-path base (McKay & Piperno 2014); a full element list is strong
     for any base. From the deepest level up, a generator is kept while it
     enlarges the level point's orbit under those kept so far, until that
-    orbit is its orbit under every generator fixing the earlier points.
-    The order is the product of those orbit lengths.
+    orbit is its orbit under every generator fixing the earlier points (the
+    first base point each moves is not earlier). The order is the product of
+    those orbit lengths.
     """
     pool = sorted(set(generators))
+    moved = [next((i for i, b in enumerate(base) if g[b] != b), len(base)) for g in pool]
     kept: list[Perm] = []
     order = 1
     for level in range(len(base) - 1, -1, -1):
-        point, earlier = base[level], base[:level]
-        level_gens = [g for g in pool if all(g[b] == b for b in earlier)]
+        point = base[level]
+        level_gens = [g for g, i in zip(pool, moved) if i >= level]
         target = len(point_orbit([point], level_gens))
         orbit = point_orbit([point], kept)
         while len(orbit) < target:

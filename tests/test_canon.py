@@ -155,6 +155,18 @@ def test_isomorphism_search_stops_at_the_certificate_leaf(monkeypatch):
     assert full.leaves > 1 and stopped.leaves == 1  # every leaf of K6 is its certificate
 
 
+def test_isomorphism_test_reads_each_graphs_degrees_once(monkeypatch):
+    seen = []
+    real = Graph.degrees
+    monkeypatch.setattr(Graph, "degrees", lambda self: seen.append(self) or real(self))
+    g = smallgraphs.petersen()
+    rng = random.Random(5)
+    draws = [apply_graph(make_perm(rng.sample(range(10), 10)), g) for _ in range(4)]
+    assert all(is_isomorphic(g, h) for h in draws)
+    assert [sum(x is h for x in seen) for h in [g] + draws] == [1] * 5
+    assert g.degree_sequence == (3,) * 10
+
+
 @pytest.mark.parametrize(
     "g",
     [smallgraphs.empty(5), smallgraphs.complete(5), smallgraphs.petersen(), smallgraphs.hypercube(3),

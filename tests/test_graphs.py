@@ -254,3 +254,4 @@ def test_adjacency_bitsets(twin_hubs):
     assert twin_hubs.has_edge(4, 0)
     assert not twin_hubs.has_edge(0, 1)
     assert twin_hubs.degrees() == (1, 1, 1, 1, 3, 2, 3)
+    assert twin_hubs.degree_sequence == (1, 1, 1, 1, 2, 3, 3)

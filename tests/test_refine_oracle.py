@@ -49,24 +49,38 @@ CASES = [
     for name, graph in graphs()
     for layers in (1, 2)
 ]
+# long chains of passes, where the quiet largest fragments and the carried cell masks act;
+# with two colours the second is the pairs at distance two, which keeps the chains long
+LONG_CHAINS = [
+    pytest.param(name, graph, layers, id=f"{name}-{layers}colour")
+    for name, graph in [
+        ("C100", smallgraphs.cycle(100)),
+        ("C200", smallgraphs.cycle(200)),
+        ("P200", smallgraphs.path(200)),
+        ("grid12x12", smallgraphs.grid(12, 12)),
+        ("K1,60", smallgraphs.star(60)),
+    ]
+    for layers in (1, 2)
+]
 
 
-@pytest.mark.parametrize("graph, layers", CASES)
-def test_refine_matches_full_signature_refinement(graph, layers):
-    rng = random.Random(f"{graph.n}:{graph.mask}:{layers}")
-    rows = rows_with_layers(graph, layers, rng)
-    n = graph.n
+def distance_two_rows(graph, layers):
+    if layers == 1:
+        return graph.adjacency
+    rows = graph.adjacency
+    pairs = [(u, w) for u, w in all_pairs(graph.n) if rows[u] & rows[w] and not rows[u] >> w & 1]
+    return smallgraphs.two_colour_rows(graph, pairs)
+
+
+def check_refine_matches_full_refinement(rows, n, layers, rng):
     partitions = [canon.unit_partition(n)] + [seeded_partition(n, rng) for _ in range(3)]
     for cells in partitions + [[[]] + partitions[-1], partitions[-1] + [[]]]:
         assert canon._refine(rows, cells, layers) == full_refine(rows, cells, layers)
 
 
-@pytest.mark.parametrize("graph, layers", CASES)
-def test_individualizing_passes_only_the_singleton_as_new(graph, layers):
-    rng = random.Random(f"path:{graph.n}:{graph.mask}:{layers}")
-    rows = rows_with_layers(graph, layers, rng)
+def check_individualizing_walks(rows, n, layers, rng):
     for walk in range(3):
-        cells = full_refine(rows, canon.unit_partition(graph.n), layers)
+        cells = full_refine(rows, canon.unit_partition(n), layers)
         while any(len(cell) > 1 for cell in cells):
             open_cells = [i for i, cell in enumerate(cells) if len(cell) > 1]
             # the search's choice first (first smallest cell, first vertex), then seeded ones
@@ -75,3 +89,22 @@ def test_individualizing_passes_only_the_singleton_as_new(graph, layers):
             split = cells[:i] + [[v], [w for w in cells[i] if w != v]] + cells[i + 1:]
             cells = canon._refine(rows, split, layers, [i])
             assert cells == full_refine(rows, split, layers)
+
+
+@pytest.mark.parametrize("graph, layers", CASES)
+def test_refine_matches_full_signature_refinement(graph, layers):
+    rng = random.Random(f"{graph.n}:{graph.mask}:{layers}")
+    check_refine_matches_full_refinement(rows_with_layers(graph, layers, rng), graph.n, layers, rng)
+
+
+@pytest.mark.parametrize("graph, layers", CASES)
+def test_individualizing_passes_only_the_singleton_as_new(graph, layers):
+    rng = random.Random(f"path:{graph.n}:{graph.mask}:{layers}")
+    check_individualizing_walks(rows_with_layers(graph, layers, rng), graph.n, layers, rng)
+
+
+@pytest.mark.parametrize("name, graph, layers", LONG_CHAINS)
+def test_long_pass_chains_match_full_signature_refinement(name, graph, layers):
+    rows = distance_two_rows(graph, layers)
+    check_refine_matches_full_refinement(rows, graph.n, layers, random.Random(f"long:{name}:{layers}"))
+    check_individualizing_walks(rows, graph.n, layers, random.Random(f"long-path:{name}:{layers}"))

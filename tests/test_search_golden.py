@@ -1,23 +1,26 @@
-"""Search outcomes pinned to values captured from the jump-back search.
+"""Search outcomes pinned to values captured from the partition-map search.
 
 Refinement, leaves and sibling pruning may get cheaper, but no certificate,
 generator, base, order or pruning decision may change. ``golden/search.json``
-holds, from the search that takes automorphisms from first-leaf matches
-only and jumps back to the first path after each:
+holds, from the search that tests the map from the first path's cells onto
+each node's before descending and jumps back to the first path after each
+automorphism it finds:
 
 - ``autorbit aut`` reports with ``timing_ms`` dropped;
 - ``edge_set_stabilizer_order`` on seeded (G, E') at n = 7-12;
 - a digest per raw ``_search`` outcome (generators, base, best leaf, leaves)
-  on seeded graphs at n = 0-40, plain and with a second pair colour;
-- search nodes (``_refine`` calls, counted with a spy) and leaves on seven
+  on seeded graphs at n = 0-40, plain and with a second pair colour, and a
+  digest of just its base and best leaf;
+- search nodes (``_refine`` calls) and leaves on seven
   families.
 
 Certificates, orders and stabilizer orders in it are unchanged since the
 engine that recounted every cell on every pass and also harvested
-best-leaf matches; the generator lists, raw digests and node/leaf counts
-are those of the jump-back search. The file is JSON of the functions
-below; rewrite it only for a deliberate change of search outcome or
-report format.
+best-leaf matches, and bases and best leaves since the jump-back search
+that took automorphisms from first-leaf matches only; the raw digests and
+node/leaf counts are those of the partition-map search. The file is JSON
+of the functions below; rewrite it only for a deliberate change of search
+outcome or report format.
 """
 
 import contextlib
