@@ -67,35 +67,32 @@ def _refine(
     and each pass's new cells are the fragments of the cells it split. A
     cell's members already agree on their counts into every other cell, so
     the new counts group them, and sort the fragments, as the full vector
-    would. A member's count into the largest fragment of a split is its
-    count into the old cell, the same across its own cell, less its counts
-    into the other fragments; so only cells next to those others are looked
-    at, and their members next to none share one signature. Passing just a
-    singleton [v] split off an equitable partition (sorted, as returned here)
-    is exact too, with the rest of v's old cell not counted at all, as [v]
-    comes first. ``masks``, the cells' vertex bitmasks if given, is updated
-    in place.
+    would. Only cells next to the loud new cells, all but the largest
+    fragment of each split, are examined, and their members next to none
+    share one signature: a count into that fragment is the count into the
+    old cell, the same across the cell, less those into the loud ones.
+    Passing just [v] split off an equitable partition (sorted, as returned
+    here) is exact too, the rest of v's old cell uncounted after [v].
+    ``masks``, the cells' vertex bitmasks if given, is updated in place.
     """
     n = len(rows)
     if new is None:  # else the cells come sorted and non-empty, as this returns them
         cells = [sorted(c) for c in cells if c]
         new = range(len(cells))
     masks = [sum(1 << w for w in c) for c in cells] if masks is None else masks
-    pending, quiet = new, set()
+    pending = loud = new
     while pending:
         near = 0  # neighbours of the loud new cells, under any colour
-        for j in pending:
-            if j not in quiet:
-                for w in cells[j]:
-                    near |= rows[w]
+        for j in loud:
+            for w in cells[j]:
+                near |= rows[w]
         if not near:  # no cell has a neighbour in the new cells, so none can split
             break
         counted = [masks[j] << (k * n) for k in range(layers) for j in pending]
         for k in range(1, layers):
             near |= near >> (k * n)
         out: OrderedPartition = []
-        out_masks: list[int] = []
-        pending, quiet = [], set()
+        out_masks, pending, loud = [], [], []
         for cell, mask in zip(cells, masks):
             if len(cell) > 1 and mask & near:
                 groups: dict[tuple[int, ...], list[int]] = {}
@@ -109,14 +106,18 @@ def _refine(
                     same = tuple([(rows[calm[0]] & m).bit_count() for m in counted])
                     groups[same] = sorted(groups.get(same, []) + calm)
                 if len(groups) > 1:
-                    fragments = [groups[sig] for sig in sorted(groups)]
-                    largest = fragments.index(max(fragments, key=len))
-                    parts = [0 if i == largest else sum(1 << v for v in f) for i, f in enumerate(fragments)]
-                    parts[largest] = mask ^ sum(parts)
-                    quiet.add(len(out) + largest)
-                    pending += range(len(out), len(out) + len(fragments))
-                    out += fragments
-                    out_masks += parts
+                    largest = max(groups.values(), key=len)
+                    for _, fragment in sorted(groups.items()):
+                        pending.append(len(out))
+                        if fragment is largest:
+                            quiet = len(out)  # its mask is what the others leave of the old cell's
+                            out_masks.append(0)
+                        else:
+                            loud.append(len(out))
+                            out_masks.append(sum(1 << v for v in fragment))
+                            mask ^= out_masks[-1]
+                        out.append(fragment)
+                    out_masks[quiet] = mask
                     continue
             out.append(cell)
             out_masks.append(mask)
@@ -198,8 +199,7 @@ def _search(graph: Graph, colour: EdgeSet | None = None, stop: int | None = None
         if target < 0:
             bits = leaf_bits(tuple(cell[0] for cell in cells))
             if on_path:
-                outcome.base = base
-                best_bits = bits
+                outcome.base, best_bits = base, bits
             best_bits = min(best_bits, bits)  # a leaf equal to stop, a certificate, is the least
             return -1 if bits == stop else depth  # -1 unwinds every level
         head, cell, tail = cells[:target], cells[target], cells[target + 1:]
