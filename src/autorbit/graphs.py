@@ -28,7 +28,7 @@ EdgeSet = frozenset[Pair]
 ENUMERATION_CAP = 6
 
 # vertex cap for graphs read from text or drawn by the sampler, checked before any
-# work in n: at 2,000 vertices the path and the cycle take 0.9-1.5 s to search (2-core VM)
+# work in n: at 2,000 vertices the path and the cycle take 0.7-1.6 s to search (2-core VM)
 MAX_VERTICES = 2000
 
 _GRAPH6_HEADER = ">>graph6<<"

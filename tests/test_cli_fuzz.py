@@ -43,7 +43,7 @@ def edge_list_text(draw):
     vertex cap at load, else at the depth cap, since at most eight vertices
     have an edge. Headers in between are left out because a nearly edgeless
     graph there is searched to the end, which takes about a second or more
-    (E300 about 1.2 s, E799 about 30 s): a speed limit, not an exit-code
+    (E300 0.7-1.2 s, E799 18-24 s): a speed limit, not an exit-code
     defect.
     """
     n = draw(st.one_of(st.integers(-2, 150), st.integers(MAX_SEARCH_DEPTH + 100, 10**12)))
