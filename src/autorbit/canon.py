@@ -102,9 +102,8 @@ def _refine(
                         groups.setdefault(tuple([(rows[v] & m).bit_count() for m in counted]), []).append(v)
                     else:
                         calm.append(v)
-                if calm:
-                    same = tuple([(rows[calm[0]] & m).bit_count() for m in counted])
-                    groups[same] = sorted(groups.get(same, []) + calm)
+                if calm:  # a group of its own: the others meet a loud cell
+                    groups[tuple([(rows[calm[0]] & m).bit_count() for m in counted])] = calm
                 if len(groups) > 1:
                     largest = max(groups.values(), key=len)
                     for _, fragment in sorted(groups.items()):
