@@ -13,10 +13,14 @@ certificate is the lexicographically smallest relabeled adjacency bitstring
 over all leaves. Off the first path, a node whose cell sizes match the first
 path's at its depth maps those cells onto its own in order; if that is an
 automorphism (at a leaf: if the leaf equals the first), it is kept and the
-search jumps back to the first-path node the path left. Known automorphisms
-fixing the current branching sequence skip equivalent siblings, so the at
-most n - 1 harvested generators are strong for the first path's branching
-sequence and the group order is the product of orbit lengths along it. A
+search jumps back to the first-path node the path left. A sibling twin to
+its node's first child (same neighbours, but for each other) is skipped, its
+swap with the child kept on the first path, which is not refined below a
+node whose open cells are all twin classes. Known automorphisms fixing the
+current branching sequence skip equivalent siblings (on the first path,
+orbits kept in a union-find), so the at most n - 1 harvested generators are
+strong for the first path's branching sequence and the group order is the
+product of orbit lengths along it. A
 second pair colour rides in the row ints (bits n..2n-1) and in a second
 triangle after the first, so the same search finds the automorphisms that
 keep an edge set in place. An isomorphism test stops at a leaf equal to the
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceededError
 from .graphs import EdgeSet, Graph, edge_set
-from .perms import Perm, PermGroup, perm_group, point_orbit, reduce_generators
+from .perms import Orbits, Perm, PermGroup, perm_group, point_orbit, reduce_generators
 
 OrderedPartition = list[list[int]]
 
@@ -153,6 +157,8 @@ def _search(graph: Graph, colour: EdgeSet | None = None, stop: int | None = None
     gens = outcome.generators
     first_cells: list[OrderedPartition] = []  # the first path's refined partitions, by depth
     best_bits: int | None = None  # None until the first leaf
+    orbits: Orbits | None = None  # the first path's, once there is a generator
+    layers = 1 if colour is None else 1 | 1 << n  # a vertex's bit in each colour's row
     # leaf bits: each colour's relabeled upper triangle, row-major, as 0/1 text after a "0"
     # (so n < 2 parses); colour k's pair at positions i < j is character k*span + start[i] + j
     span = math.comb(n, 2)
@@ -170,21 +176,24 @@ def _search(graph: Graph, colour: EdgeSet | None = None, stop: int | None = None
                 text[shift + (start[i] + j if i < j else start[j] + i)] = 49  # "1"
         return int(text, 2)
 
-    def recurse(cells: OrderedPartition, masks: list[int], base: tuple[int, ...], new: list[int]) -> int:
-        """Search below a node; return the depth of the first-path node to go on at."""
-        nonlocal best_bits
+    def twins(f: int, v: int) -> bool:  # in every pair colour: swapping them is an automorphism
+        return not (rows[f] ^ rows[v]) & ~((1 << f | 1 << v) * layers)
+
+    def recurse(cells: OrderedPartition, masks: list[int], base: tuple[int, ...], new: list[int] | None) -> int:
+        """Search below a node, refined unless ``new`` is None; return the depth of the first-path node to go on at."""
+        nonlocal best_bits, orbits
         depth = len(base)
         if depth == MAX_SEARCH_DEPTH:
             raise CapExceededError(f"search depth exceeds the cap of {MAX_SEARCH_DEPTH} levels")
-        cells = _refine(rows, cells, len(colours), new, masks)
-        outcome.nodes += 1
+        if new is not None:
+            cells = _refine(rows, cells, len(colours), new, masks)
+            outcome.nodes += 1
         open_cells = [(len(cell), i) for i, cell in enumerate(cells) if len(cell) > 1]
-        target = min(open_cells)[1] if open_cells else -1  # the first smallest
-        outcome.leaves += target < 0
         on_path = best_bits is None
         if on_path:
             first_cells.append(cells)
-        elif depth < len(first_cells) and list(map(len, cells)) == list(map(len, first_cells[depth])):
+        outcome.leaves += not open_cells
+        if not on_path and depth < len(first_cells) and list(map(len, cells)) == list(map(len, first_cells[depth])):
             # an automorphism mapping the first path's cells here onto these maps the subtree
             # searched below that node onto this one (and the first leaf onto a leaf)
             g = [0] * n
@@ -195,31 +204,39 @@ def _search(graph: Graph, colour: EdgeSet | None = None, stop: int | None = None
                 gens.append(tuple(g))
                 # jump back to the first-path node this path left
                 return next(i for i, (a, b) in enumerate(zip(base, outcome.base)) if a != b)
-        if target < 0:
+        if not open_cells:
             bits = leaf_bits(tuple(cell[0] for cell in cells))
             if on_path:
                 outcome.base, best_bits = base, bits
             best_bits = min(best_bits, bits)  # a leaf equal to stop, a certificate, is the least
             return -1 if bits == stop else depth  # -1 unwinds every level
+        target = min(open_cells)[1]  # the first smallest
         head, cell, tail = cells[:target], cells[target], cells[target + 1:]
+        # individualizing in twin classes splits nothing: below a first-path node of those, refine nothing
+        peel = new is None or on_path and twins(cell[0], cell[1]) and all(
+            twins(cells[i][0], v) for _, i in open_cells for v in cells[i])
         mask_head, mask, mask_tail = masks[:target], masks[target], masks[target + 1:]
-        # ``orbit``: the tried siblings' orbit under ``fixers``, the generators fixing ``base``
-        # (on the first path, every one found so far), refiltered when the harvest has grown since
-        fixers, filtered, orbit = [], 0, set()
+        # skip a sibling in the tried ones' orbit under the generators fixing base (on the first path: all)
+        f, tried, orbit, fixers = cell[0], [], set(), None
         for v in cell:
-            if orbit:
-                if len(gens) > filtered:
-                    fresh = gens[filtered:] if on_path else [g for g in gens if all(g[b] == b for b in base)]
-                    fixers = gens if on_path else fresh
-                    filtered = len(gens)
-                    point_orbit({g[x] for g in fresh for x in orbit}, fixers, orbit)
-                if v in orbit:
-                    continue
-            child = head + [[v], [w for w in cell if w != v]] + tail
-            resume = recurse(child, mask_head + [1 << v, mask ^ 1 << v] + mask_tail, base + (v,), [target])
-            if resume < depth:
-                return resume
-            point_orbit([v], fixers, orbit)
+            if (orbits.root[v] if on_path and orbits else v) in orbit:
+                continue
+            if v != f and twins(f, v):  # swapping them maps f's subtree onto v's
+                if on_path:
+                    gens.append(tuple(v if x == f else f if x == v else x for x in range(n)))
+            else:
+                child = head + [[v], [w for w in cell if w != v]] + tail
+                resume = recurse(child, mask_head + [1 << v, mask ^ 1 << v] + mask_tail, base + (v,),
+                                 None if peel else [target])
+                if resume < depth:
+                    return resume
+            tried.append(v)
+            if on_path and gens:
+                orbits = (orbits or Orbits(n)).update(gens)
+                orbit = {orbits.root[t] for t in tried}
+            else:
+                fixers = [g for g in gens if all(g[b] == b for b in base)] if fixers is None else fixers
+                orbit |= point_orbit([v], fixers)
         return depth
 
     root = unit_partition(n)

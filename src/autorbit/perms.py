@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, DegreeMismatchError
-from .graphs import EdgeSet, Graph, Pair, pair_index
+from .graphs import EdgeSet, Graph, Pair
 
 Perm = tuple[int, ...]
 
@@ -150,27 +150,41 @@ class PermGroup:
 
 def pair_action_table(f: Perm) -> tuple[int, ...]:
     """Permutation of normalized-pair indices induced by a vertex permutation."""
-    n = len(f)
-    table = [0] * (n * (n - 1) // 2)
-    idx = 0
-    for v in range(n):
-        fv = f[v]
-        for u in range(v):
-            table[idx] = pair_index(f[u], fv)
-            idx += 1
-    return tuple(table)
+    first = [v * (v - 1) // 2 for v in range(len(f))]  # the index of (0, v), as in ``pair_index``
+    return tuple(first[fv] + fu if fv > fu else first[fu] + fv for v, fv in enumerate(f) for fu in f[:v])
 
 
-def point_orbit(points: Iterable[int], generators: Sequence[Perm], seen: set[int] | None = None) -> set[int]:
-    """Every vertex that the generated group maps some vertex of ``points`` to, added in place
-    to ``seen`` if given: a set the group maps onto itself, which the walk does not enter."""
-    seen = set() if seen is None else seen
-    frontier = set(points) - seen
-    seen |= frontier
+def point_orbit(points: Iterable[int], generators: Sequence[Perm]) -> set[int]:
+    """Every vertex that the generated group maps some vertex of ``points`` to."""
+    seen = frontier = set(points)
     while frontier:
         frontier = {g[x] for x in frontier for g in generators} - seen
         seen |= frontier
     return seen
+
+
+class Orbits:
+    """Orbits under a growing list of permutations: a union-find that merges each one once."""
+
+    def __init__(self, n: int):
+        self.root = list(range(n))  # a name for each point's orbit
+        self.members = [[x] for x in range(n)]  # each orbit's points, under its name
+        self.merged = 0
+
+    def update(self, generators: Sequence[Perm]) -> "Orbits":
+        root, members = self.root, self.members
+        for g in generators[self.merged:]:
+            for x, y in enumerate(g):
+                a, b = root[x], root[y]
+                if a != b:
+                    for z in members[b]:
+                        root[z] = a
+                    members[a] += members[b]
+        self.merged = len(generators)
+        return self
+
+    def orbit(self, x: int) -> list[int]:
+        return self.members[self.root[x]]
 
 
 def reduce_generators(generators: Iterable[Perm], base: Sequence[int]) -> tuple[tuple[Perm, ...], int]:
@@ -184,22 +198,26 @@ def reduce_generators(generators: Iterable[Perm], base: Sequence[int]) -> tuple[
     enlarges the level point's orbit under those kept so far, until that
     orbit is its orbit under every generator fixing the earlier points (the
     first base point each moves is not earlier). The order is the product of
-    those orbit lengths.
+    those orbit lengths. Both orbits grow level by level, kept in ``Orbits``.
     """
     pool = sorted(set(generators))
+    if not pool:
+        return (), 1
     moved = [next((i for i, b in enumerate(base) if g[b] != b), len(base)) for g in pool]
+    deepest_first = [pool[j] for j in sorted(range(len(pool)), key=moved.__getitem__, reverse=True)]
+    level_orbits, kept_orbits = Orbits(len(pool[0])), Orbits(len(pool[0]))
     kept: list[Perm] = []
     order = 1
     for level in range(len(base) - 1, -1, -1):
         point = base[level]
         level_gens = [g for g, i in zip(pool, moved) if i >= level]
-        target = len(point_orbit([point], level_gens))
-        orbit = point_orbit([point], kept)
-        while len(orbit) < target:
+        target = len(level_orbits.update(deepest_first[:len(level_gens)]).orbit(point))
+        while len(kept_orbits.orbit(point)) < target:
             for g in level_gens:
-                if any(g[x] not in orbit for x in orbit):
+                if any(kept_orbits.root[g[x]] != kept_orbits.root[point] for x in kept_orbits.orbit(point)):
                     kept.append(g)
-                    orbit = point_orbit([point], kept)
+                    if len(kept_orbits.update(kept).orbit(point)) == target:
+                        break
         order *= target
     return tuple(kept), order
 

@@ -7,7 +7,9 @@ G - E'. The check is done by integer cross-multiplication so no rational
 arithmetic sits on the pass/fail path.
 
 Both groups come from the uncoloured search. The orbit on the side with the
-smaller group (G on a tie) is always walked over the group's generators.
+smaller group (G on a tie) is always walked over the group's generators,
+from E' or the rest of the pairs the group keeps, if smaller: E(G) - E'
+under Aut(G), the non-edges of G under Aut(G - E'), orbits of equal size.
 The law then predicts the other side's orbit; a small prediction is walked
 as well, and a large one is replaced by |Aut| / |S|, where S, the
 automorphisms of G that fix E' setwise, is found by a separate search of
@@ -30,7 +32,7 @@ from typing import Iterable, Sequence
 
 from .canon import automorphism_group, edge_set_stabilizer_order
 from .errors import CapExceededError, EmptyEdgeSetError, ParameterRangeError
-from .graphs import ENUMERATION_CAP, EdgeSet, Graph, Pair, edge_set, emit_graph6, from_edge_mask
+from .graphs import ENUMERATION_CAP, EdgeSet, Graph, Pair, emit_graph6, from_edge_mask
 from .orbits import edge_set_orbit
 from .perms import PermGroup
 
@@ -98,23 +100,26 @@ def verify_ratio_identity(
 
     The orbit of the deleted set is taken in the correct ambient graph on
     each side: under Aut(G) with the set as edges, and under Aut(G - E')
-    with the set as non-edges. The side with the smaller group is walked;
-    the other side is walked too when the law predicts at most
-    ``WALK_CUTOFF`` states, and otherwise gets |Aut| / |S| from the
-    edge-coloured search for S. A stabilizer order that does not divide the
-    group order gives an orbit size of 0, which fails the comparison.
+    with the set as non-edges. The side with the smaller group is walked (from
+    the set, or its rest in the pairs the group keeps); the other side too if
+    the law predicts at most ``WALK_CUTOFF`` states, else it gets |Aut| / |S|
+    from the edge-coloured search for S. A stabilizer order that does not
+    divide the group order gives an orbit size of 0, failing the comparison.
     """
-    dset: EdgeSet = edge_set(deleted, graph.n)
+    reduced = graph.delete_edges(deleted)  # the one check of E': range, loops, subset
+    dset: EdgeSet = graph.edges - reduced.edges
     if not dset:
         raise EmptyEdgeSetError("the deleted edge set must be nonempty")
     group_g = cached_aut_group(graph, cache)
-    reduced = graph.delete_edges(dset)
     group_minus = cached_aut_group(reduced, cache)
+    # each side's walk starts from E' or, if smaller, the rest of the pairs its group keeps
+    sides = [(group_g, dset if len(dset) <= reduced.m else reduced.edges),
+             (group_minus, dset if len(dset) <= math.comb(graph.n, 2) - graph.m else graph.non_edges())]
     walk_g = group_g.order <= group_minus.order
-    small, big = (group_g, group_minus) if walk_g else (group_minus, group_g)
-    ao_small = edge_set_orbit(small, dset).size
+    (small, seed_small), (big, seed_big) = sides if walk_g else sides[::-1]
+    ao_small = edge_set_orbit(small, seed_small).size
     if big.order * ao_small <= WALK_CUTOFF * small.order:
-        ao_big = edge_set_orbit(big, dset).size
+        ao_big = edge_set_orbit(big, seed_big).size
     else:
         stabilizer = edge_set_stabilizer_order(reduced, dset)
         ao_big = big.order // stabilizer if stabilizer > 0 and big.order % stabilizer == 0 else 0

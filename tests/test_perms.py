@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import smallgraphs
 from autorbit.errors import CapExceededError, DegreeMismatchError
-from autorbit.graphs import from_edge_mask
+from autorbit.graphs import from_edge_mask, pair_index
 from autorbit.perms import (
     PermGroup,
     apply_edge_set,
@@ -199,3 +199,16 @@ def test_pair_action_table_matches_apply_pair():
         table = pair_action_table(f)
         for p in all_pairs(n):
             assert table[pair_index(*p)] == pair_index(*apply_pair(f, p))
+
+
+def pair_action_by_pair_index(f):
+    """The reference: each image pair's index from ``pair_index``, in pair-index order."""
+    return tuple(pair_index(f[u], f[v]) for v in range(len(f)) for u in range(v))
+
+
+def test_pair_action_table_matches_pair_index():
+    rng = random.Random("pair-action")
+    perms = [p for n in range(7) for p in itertools.permutations(range(n))]
+    perms += [tuple(rng.sample(range(n), n)) for n in range(7, 13) for _ in range(200)]
+    for f in perms:
+        assert pair_action_table(f) == pair_action_by_pair_index(f), f

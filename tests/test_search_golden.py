@@ -1,10 +1,12 @@
-"""Search outcomes pinned to values captured from the partition-map search.
+"""Search outcomes pinned to values captured from the twin-pruning search.
 
 Refinement, leaves and sibling pruning may get cheaper, but no certificate,
-generator, base, order or pruning decision may change. ``golden/search.json``
-holds, from the search that tests the map from the first path's cells onto
-each node's before descending and jumps back to the first path after each
-automorphism it finds:
+base, best leaf, order or reduced generator list may change. ``golden/search.json``
+holds, from the search that skips a sibling twin to the node's first child
+(recording the swap of the two on the first path), peels the rest of the
+first path once every open cell is a twin class, tests the map from the
+first path's cells onto each node's before descending and jumps back to the
+first path after each automorphism it finds:
 
 - ``autorbit aut`` reports with ``timing_ms`` dropped;
 - ``edge_set_stabilizer_order`` on seeded (G, E') at n = 7-12;
@@ -17,10 +19,11 @@ automorphism it finds:
 Certificates, orders and stabilizer orders in it are unchanged since the
 engine that recounted every cell on every pass and also harvested
 best-leaf matches, and bases and best leaves since the jump-back search
-that took automorphisms from first-leaf matches only; the raw digests and
-node/leaf counts are those of the partition-map search. The file is JSON
-of the functions below; rewrite it only for a deliberate change of search
-outcome or report format.
+that took automorphisms from first-leaf matches only. The raw digests and
+node/leaf counts are those of the twin-pruning search, which refines
+neither a twin sibling nor a peeled level: E8, K8, E50 and K30 now refine
+once, and the other pins stayed. The file is JSON of the functions below;
+rewrite it only for a deliberate change of search outcome or report format.
 """
 
 import contextlib
