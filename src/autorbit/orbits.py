@@ -71,11 +71,15 @@ def vertex_orbit(group: PermGroup, v: int) -> Orbit:
 
 
 def pair_orbit(group: PermGroup, pair: Pair) -> Orbit:
+    """Orbit of one pair, walked through the vertex action (no pair tables)."""
     p = normalize_pair(*pair)
     if p[1] >= group.degree:
         raise DegreeMismatchError(f"pair {p} out of range for degree {group.degree}")
-    pairs = all_pairs(group.degree)
-    return Orbit("pair", (pairs[i] for i in point_orbit([pair_index(*p)], group.pair_action)))
+    seen = frontier = {p}
+    while frontier:
+        frontier = {normalize_pair(g[u], g[v]) for u, v in frontier for g in group.generators} - seen
+        seen |= frontier
+    return Orbit("pair", seen)
 
 
 def edge_set_orbit(group: PermGroup, pairs) -> Orbit:

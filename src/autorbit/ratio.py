@@ -22,6 +22,7 @@ Orbit–stabilizer on both sides would make the law hold by construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -182,12 +183,12 @@ def subsets_for_graph(
 
 def _sweep_range(
     n: int,
-    start: int,
-    stop: int,
     policies: tuple[str, ...],
     samples: int,
     seed: int | None,
     collect_rows: bool,
+    start: int,
+    stop: int,
 ) -> tuple[int, int, list, list]:
     cache: AutCache = {}
     graphs = 0
@@ -250,36 +251,26 @@ def sweep_verify(
     policies = tuple(policies)
     _check_sweep_args(n, policies, seed, threads)
     total = 1 << math.comb(n, 2)
+    chunk = total if threads <= 1 else max(1, math.ceil(total / (threads * 4)))
+    starts = range(0, total, chunk)
+    stops = [min(lo + chunk, total) for lo in starts]
+    job = functools.partial(_sweep_range, n, policies, samples, seed, collect_rows)
     if threads <= 1:
-        graphs, checks, violations, rows = _sweep_range(
-            n, 0, total, policies, samples, seed, collect_rows
-        )
+        parts = list(map(job, starts, stops))
     else:
-        chunk = max(1, math.ceil(total / (threads * 4)))
-        bounds = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-        graphs = checks = 0
-        violations = []
-        rows = []
-        with ProcessPoolExecutor(max_workers=min(threads, len(bounds))) as pool:
-            futures = [
-                pool.submit(_sweep_range, n, lo, hi, policies, samples, seed, collect_rows)
-                for lo, hi in bounds
-            ]
-            for fut in futures:  # submission order == mask order, so merge is stable
-                g, c, v, r = fut.result()
-                graphs += g
-                checks += c
-                violations.extend(v)
-                rows.extend(r)
-
+        with ProcessPoolExecutor(max_workers=min(threads, len(starts))) as pool:
+            parts = list(pool.map(job, starts, stops))
+    # parts come in submission order, which is mask order, so the merge is stable
+    graphs, checks, violations, rows = zip(*parts)
+    rows = [row for part in rows for row in part]
     summary = SweepSummary(
         n=n,
         policies=policies,
         samples=samples,
         seed=seed,
-        graphs=graphs,
-        checks=checks,
-        violations=tuple(violations),
+        graphs=sum(graphs),
+        checks=sum(checks),
+        violations=tuple(v for part in violations for v in part),
     )
     if collect_rows:
         return summary, rows

@@ -228,15 +228,15 @@ def unique_extension_filter(deck: Deck, origins: str = "isolated") -> ExtensionF
     """Group candidate extensions per card by orbit and match ratios across cards.
 
     For each card class the candidates are partitioned into orbit classes
-    under the card's automorphisms, and each class gets the exact quantity
-    multiplicity * |Aut(card)| / orbit size. A class only participates in
-    cross-card matching when it is multiplicity-consistent: the extended
-    graph's own orbit of the added set must equal the observed multiplicity
-    (the deck-multiplicity law), in which case the quantity equals the
-    extended graph's automorphism count. A shared ratio certifies when every
-    card class attains it with exactly one consistent class and all the
-    extended graphs agree; the reconstruction is unique when exactly one
-    certificate survives.
+    under the card's automorphisms, one orbit walk per class, and each class
+    gets the exact quantity multiplicity * |Aut(card)| / orbit size. A class
+    only joins cross-card matching when it is multiplicity-consistent: the
+    extended graph's orbit of the added set equals the multiplicity. As the
+    extended graph minus that set is the card, the ratio law makes this hold
+    exactly when the quantity equals |Aut(extended)|, which decides it. A
+    ratio certifies when every card class attains it with exactly one
+    consistent class and all the extended graphs agree; the reconstruction
+    is unique when exactly one certificate survives.
     """
     if deck.kind != "augmented":
         raise PreconditionError("the extension filter expects an augmented deck")
@@ -262,16 +262,16 @@ def unique_extension_filter(deck: Deck, origins: str = "isolated") -> ExtensionF
                 orbit = edge_set_orbit(group, cand)
                 seen.update(orbit.elements)
                 extended = Graph(card.n, card.edges | cand)
-                ext_group = automorphism_group(extended)
-                ao_ext = edge_set_orbit(ext_group, cand).size
+                ratio = Fraction(cls.multiplicity * group.order, orbit.size)
+                ext_aut = automorphism_group(extended).order
                 ext_classes.append(
                     ExtensionClass(
                         edges=tuple(sorted(cand)),
                         orbit_size=orbit.size,
-                        ratio=Fraction(cls.multiplicity * group.order, orbit.size),
-                        extended_aut=ext_group.order,
+                        ratio=ratio,
+                        extended_aut=ext_aut,
                         extended_certificate=canonical_form(extended),
-                        multiplicity_consistent=ao_ext == cls.multiplicity,
+                        multiplicity_consistent=ratio == ext_aut,
                     )
                 )
         card_reports.append(
@@ -284,29 +284,19 @@ def unique_extension_filter(deck: Deck, origins: str = "isolated") -> ExtensionF
             )
         )
 
-    consistent = [
-        {c.ratio: [e for e in report.classes if e.multiplicity_consistent and e.ratio == c.ratio]
-         for c in report.classes if c.multiplicity_consistent}
-        for report in card_reports
-    ]
-    shared: set[Fraction] = set(consistent[0]) if consistent else set()
-    for table in consistent[1:]:
-        shared &= set(table)
+    tables: list[dict[Fraction, list[ExtensionClass]]] = [{} for _ in card_reports]
+    for table, report in zip(tables, card_reports):
+        for ext in report.classes:
+            if ext.multiplicity_consistent:
+                table.setdefault(ext.ratio, []).append(ext)
 
     certified: list[CertifiedMatch] = []
-    for ratio in sorted(shared):
-        picks = [table[ratio] for table in consistent]
-        if any(len(p) != 1 for p in picks):
-            continue
-        certs = {p[0].extended_certificate for p in picks}
-        if len(certs) != 1:
-            continue
-        chosen = picks[0][0]
-        graph = Graph(
-            card_reports[0].graph.n,
-            card_reports[0].graph.edges | frozenset(chosen.edges),
-        )
-        certified.append(CertifiedMatch(ratio=ratio, certificate=chosen.extended_certificate, graph=graph))
+    for ratio in sorted(tables[0]):
+        picks = [table.get(ratio, ()) for table in tables]
+        if all(len(p) == 1 for p in picks) and len({p[0].extended_certificate for p in picks}) == 1:
+            chosen = picks[0][0]
+            graph = Graph(n, card_reports[0].graph.edges | frozenset(chosen.edges))
+            certified.append(CertifiedMatch(ratio=ratio, certificate=chosen.extended_certificate, graph=graph))
 
     distinct = {}
     for match in certified:

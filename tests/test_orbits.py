@@ -7,9 +7,9 @@ import smallgraphs
 from oracles import enumerated_orbit, stabilizer_order
 from autorbit.canon import automorphism_group
 from autorbit.errors import DegreeMismatchError
-from autorbit.graphs import all_pairs, from_edge_mask
+from autorbit.graphs import Graph, all_pairs, from_edge_mask
 from autorbit.orbits import Orbit, edge_set_orbit, pair_orbit, vertex_orbit
-from autorbit.perms import brute_force_aut, perm_group
+from autorbit.perms import PermGroup, brute_force_aut, perm_group
 
 
 def test_vertex_orbits_of_twin_hubs(twin_hubs):
@@ -95,6 +95,23 @@ def test_bfs_matches_full_enumeration_randomized():
             assert pair_orbit(group, pair).elements == enumerated_orbit(group, pair).elements
             seed = frozenset(rng.sample(all_pairs(n), rng.randint(1, npairs)))
             assert edge_set_orbit(group, seed).elements == enumerated_orbit(group, seed).elements
+
+
+def test_pair_orbit_reads_no_pair_tables(monkeypatch):
+    def no_tables(self):
+        raise AssertionError("pair_orbit built the pair-index tables")
+
+    monkeypatch.setattr(PermGroup, "pair_action", property(no_tables))
+    # two edges on 200 vertices: about 200 generators, each a C(200, 2) table if built
+    group = automorphism_group(Graph(200, frozenset({(0, 1), (2, 3)})))
+    assert pair_orbit(group, (1, 0)).elements == frozenset({(0, 1), (2, 3)})
+    assert pair_orbit(group, (0, 4)).size == 4 * 196
+    rng = random.Random(12)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        group = brute_force_aut(from_edge_mask(n, rng.randrange(1 << math.comb(n, 2))))
+        pair = rng.choice(all_pairs(n))
+        assert pair_orbit(group, pair).elements == enumerated_orbit(group, pair).elements
 
 
 def test_orbit_stabilizer_relation(twin_hubs):

@@ -9,7 +9,8 @@ import smallgraphs
 from autorbit.canon import automorphism_group, canonical_form, is_isomorphic
 from autorbit.errors import NotASubsetError, NotDivisibleError, PreconditionError, VertexRangeError
 from autorbit.graphs import Graph, from_edge_mask
-from autorbit.orbits import vertex_orbit
+from autorbit import recon
+from autorbit.orbits import edge_set_orbit, vertex_orbit
 from autorbit.recon import (
     Card,
     Deck,
@@ -216,9 +217,57 @@ def test_filter_report_details():
                 card_report.multiplicity * automorphism_group(card_report.graph).order,
                 ext.orbit_size,
             )
-    # consistent classes are exactly those whose extension re-creates the multiplicity
+    # the filter decides consistency by the ratio law, so this direction holds by
+    # construction; test_consistency_flag_matches_the_extended_walk checks the flag
+    # against the extended graph's own orbit
     consistent = [e for c in report.cards for e in c.classes if e.multiplicity_consistent]
     assert all(e.ratio == Fraction(e.extended_aut) for e in consistent)
+
+
+def seeded_connected_graphs(seed, count):
+    """``count`` connected G(n, m) graphs, cycling n through 4-8."""
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        n = 4 + len(graphs) % 5
+        g = smallgraphs.seeded_graph(rng, n)
+        if g.is_connected():
+            graphs.append(g)
+    return graphs
+
+
+@pytest.mark.parametrize("origins", ["isolated", "all"])
+def test_consistency_flag_matches_the_extended_walk(origins):
+    # the deck-multiplicity law itself: the extended graph's orbit of the added
+    # set, walked under the extended graph's group, equals the multiplicity
+    seen = Counter()
+    for g in seeded_connected_graphs(41, 60):
+        report = unique_extension_filter(augmented_deck(g).blind(), origins=origins)
+        for card_report in report.cards:
+            card = card_report.graph
+            for ext in card_report.classes:
+                cand = frozenset(ext.edges)
+                walked = edge_set_orbit(automorphism_group(Graph(card.n, card.edges | cand)), cand)
+                assert ext.multiplicity_consistent == (walked.size == card_report.multiplicity)
+                seen[ext.multiplicity_consistent] += 1
+    assert seen[True] and seen[False]
+
+
+def test_filter_walks_one_orbit_per_class_under_the_card_group(monkeypatch):
+    walked = []
+
+    def spy(group, pairs):
+        walked.append(group)
+        return edge_set_orbit(group, pairs)
+
+    monkeypatch.setattr(recon, "edge_set_orbit", spy)
+    for g in seeded_connected_graphs(43, 15):
+        for origins in ("isolated", "all"):
+            walked.clear()
+            report = unique_extension_filter(augmented_deck(g).blind(), origins=origins)
+            expected = [automorphism_group(c.graph) for c in report.cards for _ in c.classes]
+            assert len(walked) == len(expected)
+            assert all(w is e for w, e in zip(walked, expected))
 
 
 def test_filter_all_origin_mode_still_reconstructs():
@@ -254,8 +303,6 @@ def test_filter_extension_classes_give_isomorphic_extensions():
         card = card_report.graph
         group = automorphism_group(card)
         for ext in card_report.classes:
-            from autorbit.orbits import edge_set_orbit
-
             orbit = edge_set_orbit(group, frozenset(ext.edges))
             certs = {
                 canonical_form(Graph(card.n, card.edges | member)) for member in orbit.elements
