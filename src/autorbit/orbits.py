@@ -1,48 +1,30 @@
 """Orbits of vertices, vertex pairs, and whole edge sets under a permutation group.
 
 Orbits are computed by breadth-first closure over the generator action, so
-large groups with small orbits stay cheap. Edge-set orbits walk over
-frozensets of pair indices, each generator acting through its pair-index
-permutation, and only materialize their elements as pair sets when asked,
-since exact counting is the common case.
+large groups with small orbits stay cheap. Pairs and edge sets (frozensets
+of pairs) are moved through the vertex action, each image pair re-normalized
+inline, so no walk builds a table over all C(n, 2) pairs.
 """
 
 from __future__ import annotations
 
 from .errors import DegreeMismatchError
-from .graphs import Pair, all_pairs, normalize_pair, pair_index
+from .graphs import Pair, normalize_pair
 from .perms import PermGroup, point_orbit
 
 
 class Orbit:
-    """An orbit with its element kind ('vertex', 'pair', or 'edge-set').
+    """An orbit with its element kind ('vertex', 'pair', or 'edge-set')."""
 
-    Edge-set orbits may be backed by sets of pair indices; ``size`` is
-    always cheap and ``elements`` converts on first access.
-    """
+    __slots__ = ("kind", "elements")
 
-    __slots__ = ("kind", "_elements", "_indices", "_degree")
-
-    def __init__(self, kind: str, elements=None, *, indices=None, degree: int = 0):
+    def __init__(self, kind: str, elements):
         self.kind = kind
-        self._elements = frozenset(elements) if elements is not None else None
-        self._indices = indices
-        self._degree = degree
+        self.elements = frozenset(elements)
 
     @property
     def size(self) -> int:
-        if self._elements is not None:
-            return len(self._elements)
-        return len(self._indices)
-
-    @property
-    def elements(self) -> frozenset:
-        if self._elements is None:
-            pairs = all_pairs(self._degree)
-            self._elements = frozenset(
-                frozenset(pairs[i] for i in state) for state in self._indices
-            )
-        return self._elements
+        return len(self.elements)
 
     def sorted_elements(self) -> list:
         if self.kind == "edge-set":
@@ -64,6 +46,15 @@ class Orbit:
         return f"Orbit(kind={self.kind!r}, size={self.size})"
 
 
+def _seed(group: PermGroup, pairs) -> frozenset:
+    """The pairs normalized, each end checked to be a vertex of the group's degree."""
+    seed = frozenset(normalize_pair(*p) for p in pairs)
+    for p in seed:
+        if p[0] < 0 or p[1] >= group.degree:
+            raise DegreeMismatchError(f"pair {p} out of range for degree {group.degree}")
+    return seed
+
+
 def vertex_orbit(group: PermGroup, v: int) -> Orbit:
     if not 0 <= v < group.degree:
         raise DegreeMismatchError(f"vertex {v} out of range for degree {group.degree}")
@@ -71,13 +62,11 @@ def vertex_orbit(group: PermGroup, v: int) -> Orbit:
 
 
 def pair_orbit(group: PermGroup, pair: Pair) -> Orbit:
-    """Orbit of one pair, walked through the vertex action (no pair tables)."""
-    p = normalize_pair(*pair)
-    if p[1] >= group.degree:
-        raise DegreeMismatchError(f"pair {p} out of range for degree {group.degree}")
-    seen = frontier = {p}
+    """Orbit of one pair, walked through the vertex action."""
+    seen = frontier = set(_seed(group, [pair]))
     while frontier:
-        frontier = {normalize_pair(g[u], g[v]) for u, v in frontier for g in group.generators} - seen
+        frontier = {(g[u], g[v]) if g[u] < g[v] else (g[v], g[u])
+                    for u, v in frontier for g in group.generators} - seen
         seen |= frontier
     return Orbit("pair", seen)
 
@@ -88,13 +77,9 @@ def edge_set_orbit(group: PermGroup, pairs) -> Orbit:
     The seed may mix edges and non-edges of whatever graph the group came
     from; the action only needs the pairs themselves.
     """
-    seed = frozenset(normalize_pair(*p) for p in pairs)
-    if any(p[1] >= group.degree for p in seed):
-        raise DegreeMismatchError(f"pair set exceeds degree {group.degree}")
-    tables = group.pair_action
-    seen = {frozenset(pair_index(*p) for p in seed)}
-    frontier = list(seen)
+    seen = frontier = {_seed(group, pairs)}
     while frontier:
-        frontier = {frozenset(map(t.__getitem__, s)) for s in frontier for t in tables} - seen
+        frontier = {frozenset([(g[u], g[v]) if g[u] < g[v] else (g[v], g[u]) for u, v in s])
+                    for s in frontier for g in group.generators} - seen
         seen |= frontier
-    return Orbit("edge-set", indices=seen, degree=group.degree)
+    return Orbit("edge-set", seen)

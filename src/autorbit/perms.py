@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapExceededError, DegreeMismatchError
 from .graphs import EdgeSet, Graph, Pair
@@ -121,18 +121,14 @@ class PermGroup:
         return self._order
 
     @cached_property
-    def pair_action(self) -> tuple[tuple[int, ...], ...]:
-        """Induced generator permutations of pair indices (orbit fast path)."""
-        return tuple(pair_action_table(g) for g in self.generators)
-
-    @cached_property
     def pair_action_bytes(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Per-generator byte-translation tables over pair-index bitmasks.
 
         Entry j of a generator's table maps any byte of mask bits 8j..8j+7 to
-        the OR of their image bits. No production path reads these tables:
-        edge-set orbits walk ``pair_action`` directly. The attribute is kept
-        only because ``perfbench/tracing.py`` lists it in ``SPANNED_ATTRS``.
+        the OR of their image bits, read off ``pair_action_table``. No
+        production path reads these tables: every orbit walk moves pairs
+        through the vertex action. The attribute is kept only because
+        ``perfbench/tracing.py`` lists it in ``SPANNED_ATTRS``.
         """
         npairs = self.degree * (self.degree - 1) // 2
         return tuple(
@@ -141,11 +137,8 @@ class PermGroup:
                       for b in range(256))
                 for j in range(0, npairs, 8)
             )
-            for table in self.pair_action
+            for table in map(pair_action_table, self.generators)
         )
-
-    def __iter__(self) -> Iterator[Perm]:
-        return iter(self.elements)
 
 
 def pair_action_table(f: Perm) -> tuple[int, ...]:

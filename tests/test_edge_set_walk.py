@@ -1,9 +1,9 @@
-"""The edge-set orbit walk over pair-index sets, against full enumeration.
+"""The edge-set orbit walk over sets of pairs, against full enumeration.
 
-The walk acts with each generator's pair-index permutation
-(``PermGroup.pair_action``); the oracle applies every element of the
-brute-force automorphism group to the seed. A guard checks that no path
-still builds the per-generator byte tables.
+The walk moves each pair of a state through every generator's vertex
+images; the oracle applies every element of the brute-force automorphism
+group to the seed. A guard checks that no path still builds the
+per-generator byte tables.
 """
 
 import json

@@ -5,9 +5,10 @@ import pytest
 
 import smallgraphs
 from oracles import enumerated_orbit, stabilizer_order
+from autorbit import perms
 from autorbit.canon import automorphism_group
 from autorbit.errors import DegreeMismatchError
-from autorbit.graphs import Graph, all_pairs, from_edge_mask
+from autorbit.graphs import Graph, all_pairs, from_edge_mask, new_graph
 from autorbit.orbits import Orbit, edge_set_orbit, pair_orbit, vertex_orbit
 from autorbit.perms import PermGroup, brute_force_aut, perm_group
 
@@ -97,21 +98,27 @@ def test_bfs_matches_full_enumeration_randomized():
             assert edge_set_orbit(group, seed).elements == enumerated_orbit(group, seed).elements
 
 
-def test_pair_orbit_reads_no_pair_tables(monkeypatch):
-    def no_tables(self):
-        raise AssertionError("pair_orbit built the pair-index tables")
+def test_orbit_walks_read_no_pair_tables(monkeypatch):
+    def no_tables(*_):
+        raise AssertionError("an orbit walk built a pair-index table")
 
-    monkeypatch.setattr(PermGroup, "pair_action", property(no_tables))
+    monkeypatch.setattr(perms, "pair_action_table", no_tables)
+    monkeypatch.setattr(PermGroup, "pair_action_bytes", property(no_tables))
     # two edges on 200 vertices: about 200 generators, each a C(200, 2) table if built
     group = automorphism_group(Graph(200, frozenset({(0, 1), (2, 3)})))
     assert pair_orbit(group, (1, 0)).elements == frozenset({(0, 1), (2, 3)})
     assert pair_orbit(group, (0, 4)).size == 4 * 196
-    rng = random.Random(12)
+    assert edge_set_orbit(group, {(0, 4)}).size == 4 * 196
+    assert edge_set_orbit(group, {(0, 4), (0, 1)}).size == 4 * 196
+    assert edge_set_orbit(group, {(0, 1), (2, 3)}).elements == {frozenset({(0, 1), (2, 3)})}
+    rng, seeds = random.Random(12), random.Random(13)
     for _ in range(60):
         n = rng.randint(2, 6)
         group = brute_force_aut(from_edge_mask(n, rng.randrange(1 << math.comb(n, 2))))
         pair = rng.choice(all_pairs(n))
         assert pair_orbit(group, pair).elements == enumerated_orbit(group, pair).elements
+        seed = frozenset(seeds.sample(all_pairs(n), seeds.randint(1, math.comb(n, 2))))
+        assert edge_set_orbit(group, seed).elements == enumerated_orbit(group, seed).elements
 
 
 def test_orbit_stabilizer_relation(twin_hubs):
@@ -149,6 +156,16 @@ def test_degree_guards(twin_hubs):
         pair_orbit(group, (0, 3))
     with pytest.raises(DegreeMismatchError):
         edge_set_orbit(group, {(0, 3)})
+    # a negative end is out of range too, not an index from the end
+    p4 = automorphism_group(new_graph(4, [(0, 1), (1, 2), (2, 3)]))
+    with pytest.raises(DegreeMismatchError):
+        vertex_orbit(p4, -1)
+    with pytest.raises(DegreeMismatchError):
+        pair_orbit(p4, (-1, 3))
+    with pytest.raises(DegreeMismatchError):
+        edge_set_orbit(p4, {(-1, 3)})
+    with pytest.raises(DegreeMismatchError):
+        edge_set_orbit(p4, {(0, 1), (3, -1)})
 
 
 def test_orbit_equality_semantics():
