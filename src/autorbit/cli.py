@@ -88,27 +88,26 @@ def parse_edges_arg(text: str, labels: list[str] | None = None) -> frozenset[Pai
     return frozenset(pairs)
 
 
-def _jsonify(obj):
+def _fields(obj) -> dict:
+    """A dataclass's fields by name, one level deep; json's encoder walks the values."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+def _encode(obj):
+    """What json cannot write itself: exact fractions, bytes, graphs, sets and report dataclasses."""
     if isinstance(obj, Fraction):
         return {"numerator": str(obj.numerator), "denominator": str(obj.denominator)}
-    if isinstance(obj, (bytes, bytearray)):
+    if isinstance(obj, bytes):
         return obj.hex()
-    if isinstance(obj, Graph):
+    if isinstance(obj, Graph):  # before the dataclass case, as Graph is one
         return {"n": obj.n, "m": obj.m, "graph6": emit_graph6(obj)}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
     if isinstance(obj, frozenset):
-        return [_jsonify(v) for v in sorted(obj)]
-    return obj
+        return sorted(obj)
+    return _fields(obj)  # raises TypeError, as json expects, on anything but a dataclass
 
 
 def _labels(args) -> list[str] | None:
-    raw = getattr(args, "labels", None)
-    return [s.strip() for s in raw.split(",")] if raw else None
+    return [s.strip() for s in args.labels.split(",")] if args.labels else None
 
 
 def _cmd_aut(args):
@@ -140,7 +139,7 @@ def _cmd_orbit(args):
     results = {
         "kind": orbit.kind,
         "size": orbit.size,
-        "elements": _jsonify(orbit.sorted_elements()),
+        "elements": orbit.sorted_elements(),
     }
     inputs = {"graph": args.graph, "vertex": args.vertex, "pair": args.pair, "edges": args.edges}
     return inputs, results, False
@@ -150,7 +149,7 @@ def _cmd_verify(args):
     graph = load_graph(args.graph)
     deleted = parse_edges_arg(args.edges, _labels(args))
     report = verify_ratio_identity(graph, deleted)
-    return {"graph": args.graph, "edges": args.edges}, _jsonify(report), not report.holds
+    return {"graph": args.graph, "edges": args.edges}, report, not report.holds
 
 
 def _cmd_sweep(args):
@@ -184,9 +183,7 @@ def _cmd_sweep(args):
         "seed": args.seed,
         "threads": args.threads,
     }
-    results = _jsonify(summary)
-    results["holds"] = summary.holds
-    return inputs, results, not summary.holds
+    return inputs, {**_fields(summary), "holds": summary.holds}, not summary.holds
 
 
 def _cmd_er_prob(args):
@@ -199,7 +196,7 @@ def _cmd_er_prob(args):
         "aut_order": str(group.order),
         "labeled_copies": str(count_labeled_copies(graph, group.order)),
         "edge_set_count": str(math.comb(math.comb(graph.n, 2), graph.m)),
-        "probability": _jsonify(prob),
+        "probability": prob,
     }
     return {"graph": args.graph}, results, False
 
@@ -219,7 +216,7 @@ def _cmd_er_sample(args):
             "hits": estimate.hits,
             "estimate": estimate.estimate,
             "ci95_halfwidth": estimate.ci95_halfwidth,
-            "exact": _jsonify(exact),
+            "exact": exact,
             "abs_error": deviation,
             "within_6_sigma": not failed,
         }
@@ -250,11 +247,8 @@ def _cmd_proof_chain(args):
     graph = load_graph(args.graph)
     deleted = parse_edges_arg(args.edges, _labels(args))
     report = verify_proof_chain(graph, deleted)
-    results = _jsonify(report)
-    results["all_hold"] = report.all_hold
-    results["checks"] = [
-        {**_jsonify(chk), "holds": chk.holds} for chk in report.checks
-    ]
+    checks = [{**_fields(chk), "holds": chk.holds} for chk in report.checks]
+    results = {**_fields(report), "all_hold": report.all_hold, "checks": checks}
     return {"graph": args.graph, "edges": args.edges}, results, not report.all_hold
 
 
@@ -313,8 +307,6 @@ def _cmd_recon_filter(args):
     if report.unique:
         matches = report.certified[0].certificate == canonical_form(graph)
         failed = not matches
-    results = _jsonify(report)
-    results["matches_input"] = matches
     deck_view = []
     for cls in full_deck.classes:
         entry = {"graph6": emit_graph6(cls.representative.graph), "multiplicity": cls.multiplicity}
@@ -325,7 +317,7 @@ def _cmd_recon_filter(args):
                 if cert == cls.certificate
             )
         deck_view.append(entry)
-    results["deck"] = deck_view
+    results = {**_fields(report), "matches_input": matches, "deck": deck_view}
     inputs = {"graph": args.graph, "origins": args.origins, "blind": args.blind}
     return inputs, results, failed
 
@@ -391,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trials", type=int)
     p.add_argument("--graph", help="target class for estimate mode")
-    p.add_argument("--labels", help=argparse.SUPPRESS)
 
     p = sub.add_parser("er-check-cancel", help="binomial cancellation identity over a range")
     p.add_argument("--nmax", type=int, required=True)
@@ -441,7 +432,7 @@ def main(argv=None) -> int:
         "results": results,
         "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
     }
-    print(json.dumps(report, sort_keys=True))
+    print(json.dumps(report, sort_keys=True, default=_encode))
     return 1 if failed else 0
 
 

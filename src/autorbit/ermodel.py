@@ -56,6 +56,8 @@ class ProofChainReport:
 def count_labeled_copies(graph: Graph, aut_order: int | None = None) -> int:
     """Number of distinct labeled edge sets isomorphic to the graph: n!/|Aut|."""
     order = automorphism_group(graph).order if aut_order is None else aut_order
+    if order < 1:
+        raise ParameterRangeError(f"|Aut| must be at least 1, got {order}")
     total = math.factorial(graph.n)
     if total % order:
         raise ParameterRangeError(f"|Aut| = {order} does not divide {graph.n}!")

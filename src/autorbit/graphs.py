@@ -63,12 +63,8 @@ def pair_index(u: int, v: int) -> int:
 
 
 def pair_unrank(index: int) -> Pair:
-    """Inverse of :func:`pair_index`."""
+    """Inverse of :func:`pair_index`: 1 + 8 * index lies in [(2v-1)^2, (2v+1)^2), so isqrt is exact."""
     v = (1 + math.isqrt(1 + 8 * index)) // 2
-    while v * (v - 1) // 2 > index:
-        v -= 1
-    while (v + 1) * v // 2 <= index:
-        v += 1
     return (index - v * (v - 1) // 2, v)
 
 
@@ -179,15 +175,11 @@ def new_graph(n: int, pairs: Iterable[Pair], strict: bool = False) -> Graph:
     Duplicates (including reversed duplicates) collapse by default; with
     ``strict`` they raise ``DuplicateEdgeError``.
     """
-    out: set[Pair] = set()
-    for u, v in pairs:
-        p = normalize_pair(u, v)
-        if not (0 <= p[0] and p[1] < n):
-            raise VertexRangeError(f"pair ({u}, {v}) out of range for n={n}")
-        if strict and p in out:
-            raise DuplicateEdgeError(f"duplicate edge {p}")
-        out.add(p)
-    return Graph(n, frozenset(out))
+    pairs = list(pairs)
+    edges = edge_set(pairs, n)
+    if strict and len(edges) < len(pairs):
+        raise DuplicateEdgeError(f"{len(pairs) - len(edges)} of {len(pairs)} pairs repeat an edge")
+    return Graph(n, edges)
 
 
 def from_edge_mask(n: int, mask: int) -> Graph:

@@ -28,10 +28,7 @@ class Orbit:
 
     def sorted_elements(self) -> list:
         if self.kind == "edge-set":
-            return [
-                tuple(sorted(e))
-                for e in sorted(self.elements, key=lambda e: tuple(sorted(e)))
-            ]
+            return sorted(tuple(sorted(e)) for e in self.elements)
         return sorted(self.elements)
 
     def __eq__(self, other) -> bool:

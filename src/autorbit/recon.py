@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .canon import automorphism_group, canonical_form
-from .errors import NotASubsetError, NotDivisibleError, PreconditionError
+from .errors import NotASubsetError, NotDivisibleError, ParameterRangeError, PreconditionError
 from .graphs import EdgeSet, Graph, edge_set
 from .orbits import edge_set_orbit, vertex_orbit
 
@@ -145,6 +145,8 @@ def recover_aut_order(card: Graph, multiplicity: int, deleted: EdgeSet) -> int:
     by the orbit size of the deleted set as non-edges of the card; the
     division must be exact.
     """
+    if multiplicity < 1:
+        raise ParameterRangeError(f"a card's multiplicity is at least 1, got {multiplicity}")
     dset = edge_set(deleted, card.n)
     overlap = dset & card.edges
     if overlap:
@@ -207,20 +209,14 @@ def _candidate_origins(card: Graph, mode: str) -> list[int]:
     return list(range(card.n))
 
 
-def _candidate_sets(card: Graph, degree_gap: int, mode: str) -> list[EdgeSet]:
+def _candidate_sets(card: Graph, degree_gap: int, mode: str) -> set[EdgeSet]:
     """All degree_gap-subsets of non-edges sharing a plausible origin vertex."""
-    non_edges = sorted(card.non_edges())
-    out: list[EdgeSet] = []
-    seen: set[EdgeSet] = set()
+    non_edges = card.non_edges()
+    out: set[EdgeSet] = set()
     for u in _candidate_origins(card, mode):
-        if card.degree(u) + degree_gap > card.n - 1:
-            continue
-        local = [p for p in non_edges if u in p]
-        for combo in itertools.combinations(local, degree_gap):
-            cand = frozenset(combo)
-            if cand not in seen:
-                seen.add(cand)
-                out.append(cand)
+        if card.degree(u) + degree_gap <= card.n - 1:
+            local = [p for p in non_edges if u in p]
+            out.update(map(frozenset, itertools.combinations(local, degree_gap)))
     return out
 
 
@@ -240,6 +236,8 @@ def unique_extension_filter(deck: Deck, origins: str = "isolated") -> ExtensionF
     """
     if deck.kind != "augmented":
         raise PreconditionError("the extension filter expects an augmented deck")
+    if not deck.cards:
+        raise PreconditionError("empty deck")
     n = deck.cards[0].graph.n
     if n < 3:
         raise PreconditionError("the extension filter needs n >= 3")
@@ -298,15 +296,13 @@ def unique_extension_filter(deck: Deck, origins: str = "isolated") -> ExtensionF
             graph = Graph(n, card_reports[0].graph.edges | frozenset(chosen.edges))
             certified.append(CertifiedMatch(ratio=ratio, certificate=chosen.extended_certificate, graph=graph))
 
-    distinct = {}
-    for match in certified:
-        distinct.setdefault(match.certificate, match.graph)
-    reconstructed = tuple(distinct[cert] for cert in sorted(distinct))
+    # a consistent ratio is its extended graph's |Aut|, so certified certificates are distinct
+    reconstructed = tuple(match.graph for match in sorted(certified, key=lambda m: m.certificate))
     return ExtensionFilterReport(
         total_edges=total_edges,
         origin_mode=origins,
         cards=tuple(card_reports),
         certified=tuple(certified),
-        unique=len(reconstructed) == 1,
+        unique=len(certified) == 1,
         reconstructed=reconstructed,
     )

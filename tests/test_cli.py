@@ -167,6 +167,13 @@ def test_er_sample_usage_error(capsys):
     assert "er-sample" in err
 
 
+def test_er_sample_has_no_labels_flag(capsys):
+    code, out, err = run_cli(capsys, "er-sample", "--n", "5", "--m", "4", "--seed", "9", "--labels", "a")
+    assert code == 2
+    assert not out
+    assert "--labels" in err
+
+
 def test_er_check_cancel_command(capsys):
     code, out, _ = run_cli(capsys, "er-check-cancel", "--nmax", "6")
     assert code == 0

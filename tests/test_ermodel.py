@@ -47,6 +47,12 @@ def test_labeled_copies(twin_hubs):
     assert count_labeled_copies(twin_hubs) == math.factorial(7) // 8 == 630
 
 
+@pytest.mark.parametrize("aut_order", [0, -1, -2])
+def test_labeled_copies_reject_a_non_positive_group_order(aut_order):
+    with pytest.raises(ParameterRangeError):
+        count_labeled_copies(smallgraphs.path(4), aut_order)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_labeled_copies_match_brute_census(n):
     # oracle first: group all edge masks by brute-force isomorphism and

@@ -79,6 +79,21 @@ def test_pair_indexing_roundtrip():
     assert [pair_unrank(i) for i in range(3)] == [(0, 1), (0, 2), (1, 2)]
 
 
+@pytest.mark.parametrize("vs", [range(1, 2001), range(2**20 - 3, 2**20 + 4), range(2**31 - 3, 2**31 + 4)])
+def test_pair_unrank_at_every_column_boundary(vs):
+    # the isqrt formula without correction must hold where a column of pairs
+    # starts and ends, and on either side of it
+    for v in vs:
+        for u in (0, 1, v - 2, v - 1):
+            if 0 <= u < v:
+                assert pair_unrank(pair_index(u, v)) == (u, v)
+        start = v * (v - 1) // 2
+        for index in (start - 1, start, start + 1):
+            if index >= 0:
+                u, w = pair_unrank(index)
+                assert 0 <= u < w and pair_index(u, w) == index
+
+
 def test_delete_edges_twin_hubs(twin_hubs):
     reduced = twin_hubs.delete_edges([(0, 4), (4, 5)])
     assert reduced.edges == frozenset({(1, 4), (5, 6), (2, 6), (3, 6)})

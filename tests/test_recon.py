@@ -7,7 +7,13 @@ import pytest
 
 import smallgraphs
 from autorbit.canon import automorphism_group, canonical_form, is_isomorphic
-from autorbit.errors import NotASubsetError, NotDivisibleError, PreconditionError, VertexRangeError
+from autorbit.errors import (
+    NotASubsetError,
+    NotDivisibleError,
+    ParameterRangeError,
+    PreconditionError,
+    VertexRangeError,
+)
 from autorbit.graphs import Graph, from_edge_mask
 from autorbit import recon
 from autorbit.orbits import edge_set_orbit, vertex_orbit
@@ -173,6 +179,13 @@ def test_recover_aut_order_every_twin_hub_card(twin_hubs):
         assert recover_aut_order(card.graph, m, card.deleted_edges) == 8
 
 
+@pytest.mark.parametrize("multiplicity", [0, -2])
+def test_recover_aut_order_rejects_a_non_positive_multiplicity(multiplicity):
+    card = augmented_deck(smallgraphs.path(4)).cards[0]
+    with pytest.raises(ParameterRangeError):
+        recover_aut_order(card.graph, multiplicity, card.deleted_edges)
+
+
 def test_recover_aut_order_rejects_present_edges(twin_hubs):
     deck = augmented_deck(twin_hubs)
     card = deck.cards[0]
@@ -270,6 +283,19 @@ def test_filter_walks_one_orbit_per_class_under_the_card_group(monkeypatch):
             assert all(w is e for w, e in zip(walked, expected))
 
 
+@pytest.mark.parametrize("origins", ["isolated", "all"])
+def test_certified_certificates_are_pairwise_distinct(origins):
+    # reconstructed graphs are the certified ones in certificate order, with no
+    # two certified ratios pointing at one isomorphism class
+    named = [smallgraphs.triangle(), smallgraphs.path(4), smallgraphs.cycle(5)]
+    for g in named + list(connected_graphs(5)) + seeded_connected_graphs(47, 60):
+        report = unique_extension_filter(augmented_deck(g).blind(), origins=origins)
+        certs = [match.certificate for match in report.certified]
+        assert len(set(certs)) == len(certs)
+        assert [canonical_form(r) for r in report.reconstructed] == sorted(certs)
+        assert report.unique == (len(report.reconstructed) == 1)
+
+
 def test_filter_all_origin_mode_still_reconstructs():
     g = smallgraphs.path(4)
     report = unique_extension_filter(augmented_deck(g).blind(), origins="all")
@@ -287,6 +313,8 @@ def test_filter_preconditions(twin_hubs):
         unique_extension_filter(tiny)
     with pytest.raises(PreconditionError):
         unique_extension_filter(Deck("augmented", augmented_deck(twin_hubs).cards[:3]))
+    with pytest.raises(PreconditionError):
+        unique_extension_filter(Deck("augmented", ()))
 
 
 def test_filter_origin_mode_validation(twin_hubs):
