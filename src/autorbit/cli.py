@@ -33,8 +33,8 @@ from .orbits import edge_set_orbit, pair_orbit, vertex_orbit
 from .ratio import _check_sweep_args, sweep_verify, verify_ratio_identity
 from .recon import augmented_deck, classic_deck, recover_aut_order, unique_extension_filter
 
-# er-check-cancel runs about nmax**5 / 40 cases: 80,332 in 2.5 s at nmax = 20,
-# against 9.5 s at 24 and 58 s at 30 (2-core VM)
+# er-check-cancel runs about nmax**5 / 40 cases: 80,332 in 0.7-0.9 s at nmax = 20,
+# against 2.9-3.7 s (199,640 cases) at 24 and 19 s at 30 (2-core VM)
 ER_CHECK_NMAX = 20
 
 
@@ -346,24 +346,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def graph_flag(p, required=True):
-        group = p.add_mutually_exclusive_group(required=required)
+    def graph_flag(p, labels=False):
+        group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--graph", help="graph6 string, graph6 file, or edge-list file")
         group.add_argument("--graph6", dest="graph", help="graph6 string (alias of --graph)")
-        p.add_argument("--labels", help="comma-separated vertex labels usable in edge flags")
+        if labels:  # only where vertex tokens are read
+            p.add_argument("--labels", help="comma-separated vertex labels usable in vertex and edge flags")
 
     p = sub.add_parser("aut", help="automorphism group order and generators")
     graph_flag(p)
 
     p = sub.add_parser("orbit", help="orbit of a vertex, pair, or edge set")
-    graph_flag(p)
+    graph_flag(p, labels=True)
     kind = p.add_mutually_exclusive_group(required=True)
     kind.add_argument("--vertex")
     kind.add_argument("--pair", help="single pair as 'u-v'")
     kind.add_argument("--edges", help="pair set as 'u-v,u-v,...'")
 
     p = sub.add_parser("verify", help="check the symmetry-ratio identity for one deletion")
-    graph_flag(p)
+    graph_flag(p, labels=True)
     p.add_argument("--edges", required=True, help="deleted edges as 'u-v,u-v,...'")
 
     p = sub.add_parser("sweep", help="verify the identity across all labeled graphs of size n")
@@ -388,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, required=True)
 
     p = sub.add_parser("proof-chain", help="exact rational check of the probability chain")
-    graph_flag(p)
+    graph_flag(p, labels=True)
     p.add_argument("--edges", required=True)
 
     p = sub.add_parser("deck", help="card classes and multiplicities")

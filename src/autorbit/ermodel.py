@@ -155,43 +155,21 @@ def estimate_prob_isomorphic(graph: Graph, trials: int, seed: int | None = None)
     return SampleEstimate(trials=trials, hits=hits, estimate=estimate, ci95_halfwidth=half)
 
 
-def falling_factorial(x: int, terms: int) -> int:
-    """Product x * (x-1) * ... * (x-terms+1); empty product for terms=0."""
-    if terms < 0:
-        raise ParameterRangeError("terms must be nonnegative")
-    out = 1
-    for i in range(terms):
-        out *= x - i
-    return out
-
-
 def verify_binomial_cancellation(n: int, m: int, k: int) -> bool:
     """Check the exact binomial identity behind the ratio proof.
 
     C(N, m) * C(m, k) = C(N, m-k) * C(N-(m-k), k) with N = C(n, 2), together
     with its factored product forms: the long falling factorial splits at
-    m-k, the factorial of m splits at k, and the two k! terms agree.
+    m-k, and the factorial of m splits at k.
     """
     big_n = math.comb(n, 2)
     if not 1 <= k <= m <= big_n:
         raise ParameterRangeError(f"need 1 <= k <= m <= C(n,2); got n={n}, m={m}, k={k}")
-    a = falling_factorial(big_n, m)
-    b = math.factorial(m)
-    c = falling_factorial(big_n, m - k)
-    d = math.factorial(m - k)
-    e = falling_factorial(m, k)
-    f = math.factorial(k)
-    g = falling_factorial(big_n - (m - k), k)
-    h = math.factorial(k)
-    binomial_form = math.comb(big_n, m) * math.comb(m, k) == math.comb(big_n, m - k) * math.comb(
-        big_n - (m - k), k
-    )
+    rest = big_n - (m - k)
     return (
-        binomial_form
-        and a == c * g
-        and b == e * d
-        and f == h
-        and a * d * e * h == b * c * f * g
+        math.comb(big_n, m) * math.comb(m, k) == math.comb(big_n, m - k) * math.comb(rest, k)
+        and math.perm(big_n, m) == math.perm(big_n, m - k) * math.perm(rest, k)
+        and math.factorial(m) == math.perm(m, k) * math.factorial(m - k)
     )
 
 

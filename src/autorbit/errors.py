@@ -13,10 +13,6 @@ class VertexRangeError(AutorbitError, ValueError):
     """A vertex index lies outside 0..n-1."""
 
 
-class DuplicateEdgeError(AutorbitError, ValueError):
-    """The same edge (possibly reversed) appeared twice under strict construction."""
-
-
 class NotASubsetError(AutorbitError, ValueError):
     """An edge set was required to be contained in another but is not."""
 

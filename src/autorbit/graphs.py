@@ -15,7 +15,6 @@ from typing import Iterable, Iterator
 
 from .errors import (
     CapExceededError,
-    DuplicateEdgeError,
     Graph6FormatError,
     NotASubsetError,
     SelfLoopError,
@@ -169,17 +168,9 @@ class Graph:
         return seen == (1 << self.n) - 1
 
 
-def new_graph(n: int, pairs: Iterable[Pair], strict: bool = False) -> Graph:
-    """Build a graph from raw pairs, normalizing (u, v) and (v, u) together.
-
-    Duplicates (including reversed duplicates) collapse by default; with
-    ``strict`` they raise ``DuplicateEdgeError``.
-    """
-    pairs = list(pairs)
-    edges = edge_set(pairs, n)
-    if strict and len(edges) < len(pairs):
-        raise DuplicateEdgeError(f"{len(pairs) - len(edges)} of {len(pairs)} pairs repeat an edge")
-    return Graph(n, edges)
+def new_graph(n: int, pairs: Iterable[Pair]) -> Graph:
+    """Build a graph from raw pairs; (u, v) and (v, u) and any repeats collapse to one edge."""
+    return Graph(n, edge_set(pairs, n))
 
 
 def from_edge_mask(n: int, mask: int) -> Graph:
@@ -197,12 +188,7 @@ def enumerate_labeled_graphs(n: int, cap: int = ENUMERATION_CAP) -> Iterator[Gra
     """Yield all 2^C(n,2) labeled graphs on n vertices in edge-mask order."""
     if n > cap:
         raise CapExceededError(f"n={n} exceeds enumeration cap {cap}")
-
-    def generate() -> Iterator[Graph]:
-        for mask in range(1 << math.comb(n, 2)):
-            yield from_edge_mask(n, mask)
-
-    return generate()
+    return (from_edge_mask(n, mask) for mask in range(1 << math.comb(n, 2)))
 
 
 def _graph6_encode_n(n: int) -> bytes:

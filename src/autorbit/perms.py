@@ -231,10 +231,8 @@ def perm_group(generators: Iterable[Iterable[int]], degree: int | None = None) -
 
 def group_order(generators: Iterable[Iterable[int]], degree: int | None = None) -> int:
     """Order of the group generated by ``generators`` via closure enumeration."""
-    gens = [make_perm(g) for g in generators]
-    if not gens:
-        return 1
-    return perm_group(gens, degree).order
+    gens = list(generators)
+    return perm_group(gens, degree).order if gens else 1
 
 
 def brute_force_aut(graph: Graph, cap: int = BRUTE_FORCE_CAP) -> PermGroup:

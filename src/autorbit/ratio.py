@@ -26,7 +26,6 @@ import functools
 import itertools
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -189,15 +188,13 @@ def _sweep_range(
     collect_rows: bool,
     start: int,
     stop: int,
-) -> tuple[int, int, list, list]:
+) -> tuple[int, list, list]:
     cache: AutCache = {}
-    graphs = 0
     checks = 0
     violations: list = []
     rows: list = []
     for mask in range(start, stop):
         graph = from_edge_mask(n, mask)
-        graphs += 1
         for dset in subsets_for_graph(graph, policies, samples, seed):
             report = verify_ratio_identity(graph, dset, cache)
             checks += 1
@@ -211,7 +208,7 @@ def _sweep_range(
                 violations.append({"mask": mask, "deleted": deleted, "graph6": g6, "argv": argv, **counts})
             if collect_rows:
                 rows.append((mask, tuple(deleted), *counts.values(), report.holds))
-    return graphs, checks, violations, rows
+    return checks, violations, rows
 
 
 def _check_sweep_args(n: int, policies: Sequence[str], seed: int | None, threads: int) -> None:
@@ -258,17 +255,18 @@ def sweep_verify(
     if threads <= 1:
         parts = list(map(job, starts, stops))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a forking sweep loads multiprocessing
         with ProcessPoolExecutor(max_workers=min(threads, len(starts))) as pool:
             parts = list(pool.map(job, starts, stops))
     # parts come in submission order, which is mask order, so the merge is stable
-    graphs, checks, violations, rows = zip(*parts)
+    checks, violations, rows = zip(*parts)
     rows = [row for part in rows for row in part]
     summary = SweepSummary(
         n=n,
         policies=policies,
         samples=samples,
         seed=seed,
-        graphs=sum(graphs),
+        graphs=total,
         checks=sum(checks),
         violations=tuple(v for part in violations for v in part),
     )

@@ -75,11 +75,6 @@ def vertex_deleted(graph: Graph, v: int) -> Graph:
     return Graph(graph.n - 1, edges)
 
 
-def with_isolated_vertex(graph: Graph) -> Graph:
-    """Same edges with one extra isolated vertex labeled n."""
-    return Graph(graph.n + 1, graph.edges)
-
-
 def classic_deck(graph: Graph) -> Deck:
     if graph.n < 2:
         raise PreconditionError("decks need at least two vertices")
@@ -236,14 +231,10 @@ def unique_extension_filter(deck: Deck, origins: str = "isolated") -> ExtensionF
     """
     if deck.kind != "augmented":
         raise PreconditionError("the extension filter expects an augmented deck")
-    if not deck.cards:
-        raise PreconditionError("empty deck")
-    n = deck.cards[0].graph.n
-    if n < 3:
-        raise PreconditionError("the extension filter needs n >= 3")
-    if len(deck.cards) != n:
-        raise PreconditionError(f"augmented decks carry n={n} cards, got {len(deck.cards)}")
-    total_edges = kelly_edge_count(deck)
+    n = len(deck.cards)
+    if deck.cards and deck.cards[0].graph.n != n:
+        raise PreconditionError(f"augmented decks carry n={deck.cards[0].graph.n} cards, got {n}")
+    total_edges = kelly_edge_count(deck)  # rejects an empty deck, mixed vertex counts and n < 3
 
     card_reports: list[CardClassReport] = []
     for cls in deck.classes:

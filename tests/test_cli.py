@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import time
 
@@ -169,6 +170,14 @@ def test_er_sample_usage_error(capsys):
 
 def test_er_sample_has_no_labels_flag(capsys):
     code, out, err = run_cli(capsys, "er-sample", "--n", "5", "--m", "4", "--seed", "9", "--labels", "a")
+    assert code == 2
+    assert not out
+    assert "--labels" in err
+
+
+@pytest.mark.parametrize("command", ["aut", "er-prob", "deck", "recover-aut", "recon-filter"])
+def test_labels_flag_only_where_vertex_tokens_are_read(capsys, command):
+    code, out, err = run_cli(capsys, command, "--graph", "Bw", "--labels", "a")
     assert code == 2
     assert not out
     assert "--labels" in err
@@ -362,7 +371,7 @@ def test_sweep_threads_over_cap_exit_2_before_any_pool(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(ratio, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     code, out, err = run_cli(capsys, "sweep", "--n", "3", "--threads", str(ratio.THREADS_CAP + 1))
     assert code == 2
     assert not out

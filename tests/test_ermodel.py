@@ -14,7 +14,6 @@ from autorbit.ermodel import (
     count_labeled_copies,
     er_prob_isomorphic,
     estimate_prob_isomorphic,
-    falling_factorial,
     sample_er,
     verify_binomial_cancellation,
     verify_proof_chain,
@@ -249,14 +248,6 @@ def test_sampler_and_estimator_check_the_vertex_cap():
 def test_estimate_needs_positive_trials():
     with pytest.raises(ParameterRangeError):
         estimate_prob_isomorphic(smallgraphs.wedge(), trials=0, seed=1)
-
-
-def test_falling_factorial():
-    assert falling_factorial(10, 0) == 1
-    assert falling_factorial(10, 3) == 720
-    assert falling_factorial(5, 5) == 120
-    with pytest.raises(ParameterRangeError):
-        falling_factorial(5, -1)
 
 
 def test_cancellation_smallest_case_by_hand():

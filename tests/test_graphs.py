@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import smallgraphs
 from autorbit.errors import (
     CapExceededError,
-    DuplicateEdgeError,
     Graph6FormatError,
     NotASubsetError,
     SelfLoopError,
@@ -56,13 +55,6 @@ def test_self_loop_rejected():
 def test_out_of_range_rejected():
     with pytest.raises(VertexRangeError):
         new_graph(2, [(0, 2)])
-
-
-def test_strict_mode_rejects_duplicates():
-    with pytest.raises(DuplicateEdgeError):
-        new_graph(3, [(0, 1), (1, 0)], strict=True)
-    # default mode collapses instead
-    assert new_graph(3, [(0, 1), (1, 0)]).m == 1
 
 
 def test_edge_set_helper_normalizes():

@@ -1,6 +1,11 @@
+import concurrent.futures
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -142,10 +147,17 @@ def test_sweep_starts_no_more_workers_than_chunks(monkeypatch):
         sizes.append(max_workers)
         raise PoolStarted
 
-    monkeypatch.setattr(ratio, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     with pytest.raises(PoolStarted):
         sweep_verify(2, threads=8)  # 2 graphs, so 2 chunks
     assert sizes == [2]
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # the pool module is imported only by a sweep that forks
+    env = {**os.environ, "PYTHONPATH": str(Path(ratio.__file__).parents[1])}
+    check = "import sys, autorbit; assert 'multiprocessing' not in sys.modules"
+    subprocess.run([sys.executable, "-c", check], env=env, check=True)
 
 
 def test_sweep_rows_collection():

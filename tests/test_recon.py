@@ -27,7 +27,6 @@ from autorbit.recon import (
     recover_aut_order,
     unique_extension_filter,
     vertex_deleted,
-    with_isolated_vertex,
 )
 
 
@@ -55,11 +54,6 @@ def test_vertex_deleted_twin_hubs_bridge(twin_hubs):
 def test_vertex_deleted_range_check(twin_hubs):
     with pytest.raises(VertexRangeError):
         vertex_deleted(twin_hubs, 7)
-
-
-def test_with_isolated_vertex():
-    g = with_isolated_vertex(smallgraphs.triangle())
-    assert g.n == 4 and g.degree(3) == 0
 
 
 def test_classic_deck_shape(twin_hubs):
@@ -107,7 +101,7 @@ def test_deck_flavors_agree_up_to_the_isolated_vertex():
         g = from_edge_mask(n, rng.randrange(1 << math.comb(n, 2)))
         classic = classic_deck(g)
         augmented = augmented_deck(g)
-        lifted = Counter(canonical_form(with_isolated_vertex(c.graph)) for c in classic.cards)
+        lifted = Counter(canonical_form(Graph(c.graph.n + 1, c.graph.edges)) for c in classic.cards)
         direct = Counter(canonical_form(c.graph) for c in augmented.cards)
         assert lifted == direct
         # and the reverse direction: dropping each card's origin vertex
@@ -315,6 +309,15 @@ def test_filter_preconditions(twin_hubs):
         unique_extension_filter(Deck("augmented", augmented_deck(twin_hubs).cards[:3]))
     with pytest.raises(PreconditionError):
         unique_extension_filter(Deck("augmented", ()))
+
+
+def test_filter_leaves_the_deck_checks_to_kelly():
+    # a 2-vertex graph's augmented deck, and cards that differ in n, fail kelly_edge_count's checks
+    with pytest.raises(PreconditionError, match="n >= 3"):
+        unique_extension_filter(augmented_deck(smallgraphs.path(2)))
+    mixed = (Card(smallgraphs.empty(4)),) * 3 + (Card(smallgraphs.empty(5)),)
+    with pytest.raises(PreconditionError, match="vertex count"):
+        unique_extension_filter(Deck("augmented", mixed))
 
 
 def test_filter_origin_mode_validation(twin_hubs):
