@@ -203,11 +203,11 @@ def _cmd_er_prob(args):
 
 def _cmd_er_sample(args):
     if args.trials is not None:
-        if args.graph is None:
-            raise AutorbitError("estimate mode needs --graph as the target")
+        if args.graph is None or args.n is not None or args.m is not None:
+            raise AutorbitError("estimate mode needs --graph as the target and takes no --n or --m")
         target = load_graph(args.graph)
+        exact = er_prob_isomorphic(target)  # first: a cap fails before any trial, and the estimator reuses the kept search
         estimate = estimate_prob_isomorphic(target, args.trials, args.seed)
-        exact = er_prob_isomorphic(target)
         sigma = math.sqrt(exact * (1 - exact) / estimate.trials)
         deviation = abs(estimate.estimate - float(exact))
         failed = deviation > 6 * sigma
@@ -222,6 +222,8 @@ def _cmd_er_sample(args):
         }
         inputs = {"graph": args.graph, "trials": args.trials, "seed": args.seed}
         return inputs, results, failed
+    if args.graph is not None:
+        raise AutorbitError("--graph is the estimate mode's target and needs --trials")
     sample = sample_er(args.n, args.m, args.seed)
     inputs = {"n": args.n, "m": args.m, "seed": args.seed}
     return inputs, {"graph6": emit_graph6(sample)}, False

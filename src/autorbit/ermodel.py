@@ -105,12 +105,19 @@ def sample_er(n: int, m: int, seed: int | random.Random | None = None) -> Graph:
 
 
 def _neighbour_degrees(degrees: Sequence[int], edges: Iterable[Pair]) -> list[list[int]]:
-    """Sorted list of each vertex's sorted neighbour degrees; its length is the degree."""
+    """Each vertex's sorted neighbour degrees, its signature; a list's length is the degree."""
     neighbours: list[list[int]] = [[] for _ in degrees]
     for u, v in edges:
         neighbours[u].append(degrees[v])
         neighbours[v].append(degrees[u])
-    return sorted(map(sorted, neighbours))
+    return list(map(sorted, neighbours))
+
+
+def _relabelled(signatures: Sequence[list[int]], edges: Iterable[Pair]) -> frozenset[Pair]:
+    """The edges with vertices renumbered in signature order, ties by vertex number: the form."""
+    order = sorted(range(len(signatures)), key=signatures.__getitem__)
+    rank = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
+    return frozenset((rank[u], rank[v]) if rank[u] < rank[v] else (rank[v], rank[u]) for u, v in edges)
 
 
 def estimate_prob_isomorphic(graph: Graph, trials: int, seed: int | None = None) -> SampleEstimate:
@@ -119,10 +126,12 @@ def estimate_prob_isomorphic(graph: Graph, trials: int, seed: int | None = None)
     Trials draw pair indices from one seeded stream, exactly as ``sample_er``
     does. A draw whose sorted degree sequence differs from the target's cannot
     be isomorphic to it and is dropped without building a graph. The rest are
-    memoized per pair-index mask (small targets pass with few labelled graphs);
+    memoized per labelled draw (small targets pass with few labelled graphs);
     a new one must also match the target's neighbour degrees, one more round
-    of colour refinement, before ``is_isomorphic`` confirms it. Both screens
-    are isomorphism invariants, so the hits are those of comparing every draw.
+    of colour refinement. Both screens are isomorphism invariants. A draw
+    that passes is relabelled in signature order, and ``is_isomorphic``
+    decides each new form once: draws with equal forms are isomorphic to it,
+    so the hits are those of comparing every draw.
     """
     if trials < 1:
         raise ParameterRangeError("trials must be positive")
@@ -130,10 +139,12 @@ def estimate_prob_isomorphic(graph: Graph, trials: int, seed: int | None = None)
     if n < 1:
         raise EdgeCountRangeError("the model needs at least one vertex")
     check_vertex_cap(n)
-    degrees, profile = sorted(graph.degrees()), _neighbour_degrees(graph.degrees(), graph.edges)
+    signatures = _neighbour_degrees(graph.degrees(), graph.edges)
+    degrees, profile = sorted(graph.degrees()), sorted(signatures)
     pairs = all_pairs(n)
     rng, steps = random.Random(seed), tuple(_floyd_steps(n, m))
-    iso_by_mask: dict[int, bool] = {}
+    iso_by_draw: dict[frozenset[int], bool] = {}
+    iso_by_form = {None: False, _relabelled(signatures, graph.edges): True}  # None: screened out
     hits = 0
     for _ in range(trials):
         chosen = _draw_pairs(rng, steps)
@@ -143,12 +154,16 @@ def estimate_prob_isomorphic(graph: Graph, trials: int, seed: int | None = None)
             counts[u] += 1
             counts[v] += 1
         if sorted(counts) == degrees:
-            key = sum(1 << i for i in chosen)
-            hit = iso_by_mask.get(key)
+            key = frozenset(chosen)
+            hit = iso_by_draw.get(key)
             if hit is None:
                 edges = [pairs[i] for i in chosen]
-                screened = _neighbour_degrees(counts, edges) == profile
-                hit = iso_by_mask[key] = screened and is_isomorphic(graph, Graph(n, frozenset(edges)))
+                signatures = _neighbour_degrees(counts, edges)
+                form = _relabelled(signatures, edges) if sorted(signatures) == profile else None
+                hit = iso_by_form.get(form)
+                if hit is None:
+                    hit = iso_by_form[form] = is_isomorphic(graph, Graph(n, form))
+                iso_by_draw[key] = hit
             hits += hit
     estimate = hits / trials
     half = 1.96 * math.sqrt(estimate * (1.0 - estimate) / trials)

@@ -139,7 +139,7 @@ SCREENED_PAIRS = {
 def test_pairs_passing_both_screens_are_told_apart(name):
     g, h = SCREENED_PAIRS[name]
     assert sorted(g.degrees()) == sorted(h.degrees())
-    assert _neighbour_degrees(g.degrees(), g.edges) == _neighbour_degrees(h.degrees(), h.edges)
+    assert sorted(_neighbour_degrees(g.degrees(), g.edges)) == sorted(_neighbour_degrees(h.degrees(), h.edges))
     assert not brute_isomorphic(g, h)
     assert not is_isomorphic(g, h)
     assert not is_isomorphic(h, g)

@@ -344,6 +344,34 @@ def test_er_sample_gate_uses_the_exact_probability(capsys, monkeypatch):
     assert results["within_6_sigma"] is False
 
 
+def test_er_sample_hits_the_search_cap_before_any_trial(capsys, monkeypatch, tmp_path):
+    from autorbit import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "estimate_prob_isomorphic", lambda *args: calls.append(args))
+    path = tmp_path / "star.el"
+    path.write_text("2000 5\n" + "".join(f"0 {v}\n" for v in range(1, 6)))  # a 5-edge star on 2,000 vertices
+    code, out, err = run_cli(capsys, "er-sample", "--trials", "200000", "--seed", "1", "--graph", str(path))
+    assert code == 2
+    assert not out
+    assert err.startswith("error: search depth exceeds the cap") and len(err.splitlines()) == 1
+    assert not calls
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["--trials", "5", "--graph", "Bw", "--n", "4", "--m", "1"], "--n or --m"),
+        (["--n", "3", "--m", "2", "--graph", "Bw"], "--graph"),
+    ],
+)
+def test_er_sample_rejects_flags_of_the_other_mode(capsys, argv, flags):
+    code, out, err = run_cli(capsys, "er-sample", "--seed", "1", *argv)
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and flags in err and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

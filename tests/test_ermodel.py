@@ -159,7 +159,8 @@ def test_estimate_matches_exact_value_within_noise():
 
 K33 = Graph(6, edge_set((a, b) for a in range(3) for b in range(3, 6)))
 SCREEN_TARGETS = {
-    "C6": smallgraphs.cycle(6),  # regular: every degree-matching draw is searched
+    "C6": smallgraphs.cycle(6),  # regular: every degree-matching draw passes both screens
+    "2K3": Graph(6, edge_set([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])),  # C6's neighbour degrees
     "K3,3": K33,
     "wedge": smallgraphs.wedge(),
     "triangle+isolated": smallgraphs.triangle_plus_isolated(),
@@ -223,6 +224,41 @@ def test_neighbour_degree_screen_searches_almost_only_hits(monkeypatch):
     estimate = estimate_prob_isomorphic(SCREEN_TARGETS["G(8,6)#3"], 2000, seed=1)
     assert estimate.hits == 32
     assert len(calls) <= 1 + estimate.hits  # only draws in the target's class are confirmed
+
+
+@pytest.mark.parametrize("name, hits", [("G(6,7)#1", 219), ("G(8,6)#1", 36), ("G(8,6)#3", 32)])
+def test_form_memo_searches_each_class_at_most_once(monkeypatch, name, hits):
+    # every hit shares the target's form, which is known without a search
+    calls = []
+    monkeypatch.setattr(ermodel, "is_isomorphic", lambda g, h: calls.append(h) or is_isomorphic(g, h))
+    assert estimate_prob_isomorphic(SCREEN_TARGETS[name], 2000, seed=1).hits == hits
+    assert len(calls) <= 1
+
+
+def _form(graph):
+    return ermodel._relabelled(ermodel._neighbour_degrees(graph.degrees(), graph.edges), graph.edges)
+
+
+def _assert_forms_keep_classes_apart(graphs):
+    classes_by_form = {}
+    for graph in graphs:
+        classes_by_form.setdefault((graph.n, _form(graph)), set()).add(canonical_form(graph))
+    for (n, form), classes in classes_by_form.items():
+        assert classes == {canonical_form(Graph(n, form))}, (n, sorted(form))
+    return len(classes_by_form)
+
+
+def test_forms_never_join_two_classes_of_small_graphs():
+    graphs = [from_edge_mask(n, mask) for n in range(1, 6) for mask in range(1 << math.comb(n, 2))]
+    assert len(graphs) == 1099
+    assert _assert_forms_keep_classes_apart(graphs) < len(graphs)
+
+
+@pytest.mark.parametrize("n, m", [(6, 7), (7, 6), (8, 6), (8, 10), (9, 12)])
+def test_forms_never_join_two_classes_of_seeded_draws(n, m):
+    rng = random.Random(n * 100 + m)
+    graphs = [sample_er(n, m, rng) for _ in range(3000)]
+    assert _assert_forms_keep_classes_apart(graphs) < len(graphs)
 
 
 def test_estimate_rejects_a_target_without_vertices(capsys, tmp_path):
