@@ -4,28 +4,27 @@ The engine is classic individualization-refinement: refine an ordered vertex
 partition, with each cell's vertex mask, to its coarsest equitable
 refinement, pick the first smallest non-singleton cell, individualize each of
 its vertices in turn, and recurse. Refinement counts neighbours only into the
-cells that are new since its last pass, and looks only next to those that are
-not the largest fragment of a split (at a search node, just the
-individualized vertex); that gives the same cells in the same order as
-recounting every cell. Discrete partitions (leaves) relabel the graph, whose
-bits are set from the edge lists through a vertex-to-position table; the
-certificate is the lexicographically smallest relabeled adjacency bitstring
-over all leaves. Off the first path, a node whose cell sizes match the first
-path's at its depth maps those cells onto its own in order; if that is an
-automorphism (at a leaf: if the leaf equals the first), it is kept and the
-search jumps back to the first-path node the path left. A sibling twin to
-its node's first child (same neighbours, but for each other) is skipped, its
-swap with the child kept on the first path, which is not refined below a
-node whose open cells are all twin classes. Known automorphisms fixing the
-current branching sequence skip equivalent siblings (on the first path,
-orbits kept in a union-find), so the at most n - 1 harvested generators are
-strong for the first path's branching sequence and the group order is the
-product of orbit lengths along it. A
+cells new since its last pass (at a search node, just the individualized
+vertex; one such cell is keyed by the bare count) and looks only next to
+those that are not the largest fragment of a split, which gives the same
+cells in the same order as recounting every cell. Leaves relabel the graph;
+the certificate is the least relabeled adjacency bitstring over all leaves.
+Off the first path, a node whose cell sizes match the first path's at its
+depth maps those cells onto its own in order; if that is an automorphism, it
+is kept and the search jumps back to the first-path node the path left. A
+sibling twin to its node's first child (same neighbours, but for each other)
+is skipped, its swap with the child kept on the first path. Below a
+first-path node whose open cells are all twin classes, the rest of the path,
+one swap a level, and its leaf are written down without search. Known
+automorphisms fixing the branching sequence skip equivalent siblings (on the
+first path, orbits kept in a union-find), so the at most n - 1 harvested
+generators are strong for the first path, and the group order is the product
+of its orbit lengths, multiplied in as each first-path node finishes. A
 second pair colour rides in the row ints (bits n..2n-1) and in a second
 triangle after the first, so the same search finds the automorphisms that
 keep an edge set in place. An isomorphism test stops at a leaf equal to the
-other graph's certificate. Correctness before speed: the whole engine is
-validated against the brute-force definition on every small graph.
+other graph's certificate. The engine is checked against brute force on
+every small graph.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceededError
 from .graphs import EdgeSet, Graph, edge_set
-from .perms import Orbits, Perm, PermGroup, perm_group, point_orbit, reduce_generators
+from .perms import Orbits, Perm, PermGroup, point_orbit, reduce_generators
 
 OrderedPartition = list[list[int]]
 
@@ -46,14 +45,6 @@ MAX_SEARCH_DEPTH = 800
 
 def unit_partition(n: int) -> OrderedPartition:
     return [list(range(n))] if n else []
-
-
-def _validate_partition(n: int, cells: OrderedPartition) -> OrderedPartition:
-    out = [list(cell) for cell in cells]
-    members = [v for cell in out for v in cell]
-    if len(members) != n or set(members) != set(range(n)):
-        raise ValueError("cells must partition 0..n-1 without repeats")
-    return out
 
 
 def _refine(
@@ -92,22 +83,27 @@ def _refine(
                 near |= rows[w]
         if not near:  # no cell has a neighbour in the new cells, so none can split
             break
-        counted = [masks[j] << (k * n) for k in range(layers) for j in pending]
-        for k in range(1, layers):
+        counted = [masks[j] for j in pending]
+        for k in range(1, layers):  # the counts in the other colours, whose neighbours join near
+            counted += [masks[j] << (k * n) for j in pending]
             near |= near >> (k * n)
+        one = len(counted) == 1 and counted[0]  # a lone count keys by the int, not a 1-tuple
         out: OrderedPartition = []
         out_masks, pending, loud = [], [], []
         for cell, mask in zip(cells, masks):
             if len(cell) > 1 and mask & near:
-                groups: dict[tuple[int, ...], list[int]] = {}
+                groups: dict[int | tuple[int, ...], list[int]] = {}
                 calm = []  # the members meeting no loud cell
                 for v in cell:
                     if near >> v & 1:
-                        groups.setdefault(tuple([(rows[v] & m).bit_count() for m in counted]), []).append(v)
+                        row = rows[v]
+                        key = (row & one).bit_count() if one else tuple([(row & m).bit_count() for m in counted])
+                        groups.setdefault(key, []).append(v)
                     else:
                         calm.append(v)
                 if calm:  # a group of its own: the others meet a loud cell
-                    groups[tuple([(rows[calm[0]] & m).bit_count() for m in counted])] = calm
+                    row = rows[calm[0]]
+                    groups[(row & one).bit_count() if one else tuple([(row & m).bit_count() for m in counted])] = calm
                 if len(groups) > 1:
                     largest = max(groups.values(), key=len)
                     for _, fragment in sorted(groups.items()):
@@ -131,7 +127,10 @@ def _refine(
 
 def color_refine(graph: Graph, partition: OrderedPartition | None = None) -> OrderedPartition:
     """Equitable refinement of ``partition`` (the unit partition by default)."""
-    cells = unit_partition(graph.n) if partition is None else _validate_partition(graph.n, partition)
+    cells = unit_partition(graph.n) if partition is None else [list(cell) for cell in partition]
+    members = [v for cell in cells for v in cell]
+    if len(members) != graph.n or set(members) != set(range(graph.n)):
+        raise ValueError("cells must partition 0..n-1 without repeats")
     return _refine(graph.adjacency, cells)
 
 
@@ -142,6 +141,7 @@ class _SearchOutcome:
     best_bits: int = 0
     leaves: int = 0
     nodes: int = 0
+    order: int = 1  # the product of the first path's orbit lengths under the harvest
 
 
 def _search(graph: Graph, colour: EdgeSet | None = None, stop: int | None = None) -> _SearchOutcome:
@@ -179,19 +179,36 @@ def _search(graph: Graph, colour: EdgeSet | None = None, stop: int | None = None
     def twins(f: int, v: int) -> bool:  # in every pair colour: swapping them is an automorphism
         return not (rows[f] ^ rows[v]) & ~((1 << f | 1 << v) * layers)
 
-    def recurse(cells: OrderedPartition, masks: list[int], base: tuple[int, ...], new: list[int] | None) -> int:
-        """Search below a node, refined unless ``new`` is None; return the depth of the first-path node to go on at."""
+    def swap(f: int, v: int) -> Perm:
+        return tuple(v if x == f else f if x == v else x for x in range(n))
+
+    def recurse(cells: OrderedPartition, masks: list[int], base: tuple[int, ...], new: list[int]) -> int:
+        """Search below a node; return the depth of the first-path node to go on at."""
         nonlocal best_bits, orbits
         depth = len(base)
         if depth == MAX_SEARCH_DEPTH:
             raise CapExceededError(f"search depth exceeds the cap of {MAX_SEARCH_DEPTH} levels")
-        if new is not None:
-            cells = _refine(rows, cells, len(colours), new, masks)
-            outcome.nodes += 1
+        cells = _refine(rows, cells, len(colours), new, masks)
+        outcome.nodes += 1
         open_cells = [(len(cell), i) for i, cell in enumerate(cells) if len(cell) > 1]
         on_path = best_bits is None
         if on_path:
             first_cells.append(cells)
+            if open_cells and all(twins(cells[i][0], v) for _, i in open_cells for v in cells[i][1:]):
+                # individualizing twins splits nothing: write the path down, cells by (size, index), a swap a level
+                if depth + sum(size - 1 for size, _ in open_cells) >= MAX_SEARCH_DEPTH:  # the leaf's depth
+                    raise CapExceededError(f"search depth exceeds the cap of {MAX_SEARCH_DEPTH} levels")
+                parts, swaps = [[cell] for cell in cells], []  # each cell's fragments so far
+                for size, i in sorted(open_cells):
+                    cell = cells[i]
+                    for k in range(1, size):
+                        parts[i][-1:] = [[cell[k - 1]], cell[k:]]
+                        first_cells.append([c for fragments in parts for c in fragments])
+                        swaps.append((cell[k - 1], cell[k]))
+                    outcome.order *= math.factorial(size)
+                gens.extend(swap(f, v) for f, v in reversed(swaps))  # deepest level first
+                base += tuple(f for f, _ in swaps)
+                cells, open_cells = first_cells[-1], []
         outcome.leaves += not open_cells
         if not on_path and depth < len(first_cells) and list(map(len, cells)) == list(map(len, first_cells[depth])):
             # an automorphism mapping the first path's cells here onto these maps the subtree
@@ -212,9 +229,6 @@ def _search(graph: Graph, colour: EdgeSet | None = None, stop: int | None = None
             return -1 if bits == stop else depth  # -1 unwinds every level
         target = min(open_cells)[1]  # the first smallest
         head, cell, tail = cells[:target], cells[target], cells[target + 1:]
-        # individualizing in twin classes splits nothing: below a first-path node of those, refine nothing
-        peel = new is None or on_path and twins(cell[0], cell[1]) and all(
-            twins(cells[i][0], v) for _, i in open_cells for v in cells[i])
         mask_head, mask, mask_tail = masks[:target], masks[target], masks[target + 1:]
         # skip a sibling in the tried ones' orbit under the generators fixing base (on the first path: all)
         f, tried, orbit, fixers = cell[0], [], set(), None
@@ -223,11 +237,10 @@ def _search(graph: Graph, colour: EdgeSet | None = None, stop: int | None = None
                 continue
             if v != f and twins(f, v):  # swapping them maps f's subtree onto v's
                 if on_path:
-                    gens.append(tuple(v if x == f else f if x == v else x for x in range(n)))
+                    gens.append(swap(f, v))
             else:
                 child = head + [[v], [w for w in cell if w != v]] + tail
-                resume = recurse(child, mask_head + [1 << v, mask ^ 1 << v] + mask_tail, base + (v,),
-                                 None if peel else [target])
+                resume = recurse(child, mask_head + [1 << v, mask ^ 1 << v] + mask_tail, base + (v,), [target])
                 if resume < depth:
                     return resume
             tried.append(v)
@@ -237,6 +250,8 @@ def _search(graph: Graph, colour: EdgeSet | None = None, stop: int | None = None
             else:
                 fixers = [g for g in gens if all(g[b] == b for b in base)] if fixers is None else fixers
                 orbit |= point_orbit([v], fixers)
+        if on_path and orbits:  # every generator so far fixes base: this is the stabilizer chain's index
+            outcome.order *= len(orbits.orbit(f))
         return depth
 
     root = unit_partition(n)
@@ -260,17 +275,21 @@ def _outcome(graph: Graph, stop: int | None = None) -> _SearchOutcome:
 def automorphism_group(graph: Graph) -> PermGroup:
     """Automorphism group computed by individualization-refinement search.
 
-    The harvest is reduced along the search's first-path base, which also
-    yields the order the group carries. The group is kept on the graph next
-    to its search.
+    The harvest is reduced along the first-path base; the group carries the
+    order the search read off that path and is kept on the graph with it.
     """
     group = graph.__dict__.get("_aut_group")
     if group is None:
         outcome = _outcome(graph)
-        generators, order = reduce_generators(outcome.generators, outcome.base)
-        group = graph.__dict__["_aut_group"] = perm_group(generators, degree=graph.n)
-        group.__dict__["_order"] = order
+        generators, _ = reduce_generators(outcome.generators, outcome.base)
+        group = graph.__dict__["_aut_group"] = PermGroup(graph.n, tuple(sorted(generators)))
+        group.__dict__["_order"] = outcome.order
     return group
+
+
+def aut_order(graph: Graph) -> int:
+    """|Aut(graph)|, read off the graph's search with no group built."""
+    return _outcome(graph).order
 
 
 def edge_set_stabilizer_order(graph: Graph, pairs) -> int:
@@ -280,8 +299,7 @@ def edge_set_stabilizer_order(graph: Graph, pairs) -> int:
     one search of the two-coloured graph finds Aut(graph) ∩ Aut(pairs). The
     pairs may be edges, non-edges or a mix of both.
     """
-    outcome = _search(graph, edge_set(pairs, graph.n))
-    return reduce_generators(outcome.generators, outcome.base)[1]
+    return _search(graph, edge_set(pairs, graph.n)).order
 
 
 def canonical_form(graph: Graph) -> bytes:

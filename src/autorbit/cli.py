@@ -107,7 +107,10 @@ def _encode(obj):
 
 
 def _labels(args) -> list[str] | None:
-    return [s.strip() for s in args.labels.split(",")] if args.labels else None
+    labels = None if args.labels is None else [s.strip() for s in args.labels.split(",")]
+    if labels and ("" in labels or len(set(labels)) < len(labels)):
+        raise AutorbitError(f"--labels needs distinct non-empty names, got {args.labels!r}")
+    return labels
 
 
 def _cmd_aut(args):

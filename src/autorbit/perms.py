@@ -2,8 +2,9 @@
 
 A permutation of degree n is a tuple ``images`` of length n where
 ``images[i]`` is the image of vertex i. Groups are carried as generator
-lists; the search's groups carry the order read off its base, and the
-breadth-first closure behind ``elements`` is kept as the reference definition.
+lists; the search's groups carry the order it multiplied up along its first
+path. The order ``reduce_generators`` reads off a base, and the breadth-first
+closure behind ``elements``, are kept as the reference definitions.
 """
 
 from __future__ import annotations

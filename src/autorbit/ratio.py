@@ -39,11 +39,10 @@ from .perms import PermGroup
 AutCache = dict[tuple[int, int], PermGroup]
 
 SUBSET_POLICIES = ("single-edges", "all-subsets", "random")
-# Largest predicted orbit walked on the larger-group side. On seeded G(8, m)
-# with warm groups the set walk costs about 10 us per state and one coloured
-# search 0.1-0.35 ms, except that most predictions in (24, 32] are one edge
-# against the empty or complete graph (28 states), whose coloured search
-# takes about 1.2 ms; 32 gave the least total time.
+# Largest predicted orbit walked on the larger-group side, picked on seeded G(8, m)
+# as the least total time. There (2-core VM) the set walk costs 10-17 us per state
+# with warm groups, and one coloured search 0.04-0.09 ms, one edge against E8 or K8
+# (28 states) included, so predictions in (16, 32] now walk slower than they search.
 WALK_CUTOFF = 32
 ALL_SUBSETS_CAP = 5
 # sweep workers; the fork start method launches them all at the first submit
@@ -138,11 +137,6 @@ def verify_ratio_identity(
     )
 
 
-def _subset_rng(seed: int | None, n: int, mask: int) -> random.Random:
-    # Per-graph derivation keeps results independent of chunking and thread count.
-    return random.Random(f"{seed}:{n}:{mask}")
-
-
 def subsets_for_graph(
     graph: Graph,
     policies: Sequence[str],
@@ -171,7 +165,7 @@ def subsets_for_graph(
         elif policy == "random":
             if m == 0:
                 continue
-            rng = _subset_rng(seed, graph.n, graph.mask)
+            rng = random.Random(f"{seed}:{graph.n}:{graph.mask}")  # per graph: the same for any chunking
             for _ in range(samples):
                 k = rng.randint(1, m)
                 push(frozenset(rng.sample(edges_sorted, k)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .canon import automorphism_group, canonical_form
+from .canon import aut_order, automorphism_group, canonical_form
 from .errors import NotASubsetError, NotDivisibleError, ParameterRangeError, PreconditionError
 from .graphs import EdgeSet, Graph, edge_set
 from .orbits import edge_set_orbit, vertex_orbit
@@ -252,7 +252,7 @@ def unique_extension_filter(deck: Deck, origins: str = "isolated") -> ExtensionF
                 seen.update(orbit.elements)
                 extended = Graph(card.n, card.edges | cand)
                 ratio = Fraction(cls.multiplicity * group.order, orbit.size)
-                ext_aut = automorphism_group(extended).order
+                ext_aut = aut_order(extended)
                 ext_classes.append(
                     ExtensionClass(
                         edges=tuple(sorted(cand)),

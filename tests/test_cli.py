@@ -183,6 +183,19 @@ def test_labels_flag_only_where_vertex_tokens_are_read(capsys, command):
     assert "--labels" in err
 
 
+@pytest.mark.parametrize("labels", ["a,a,b", "a,,b", ""])
+@pytest.mark.parametrize("command, flags", [
+    ("orbit", ["--vertex", "1"]),
+    ("verify", ["--edges", "a-b"]),
+    ("proof-chain", ["--edges", "a-b"]),
+])
+def test_labels_must_be_distinct_and_non_empty(capsys, command, flags, labels):
+    code, out, err = run_cli(capsys, command, "--graph", "Bw", *flags, "--labels", labels)
+    assert code == 2
+    assert not out
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--labels" in err
+
+
 def test_er_check_cancel_command(capsys):
     code, out, _ = run_cli(capsys, "er-check-cancel", "--nmax", "6")
     assert code == 0

@@ -4,6 +4,7 @@ The search's groups must never need their element list: a guard replaces the
 closure with one that raises and runs every production entry point.
 """
 
+import itertools
 import json
 import math
 import random
@@ -12,11 +13,12 @@ import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
 import smallgraphs
-from autorbit import perms
+from autorbit import canon, perms
 from autorbit.canon import automorphism_group
 from autorbit.cli import main
 from autorbit.ermodel import verify_proof_chain
-from autorbit.graphs import emit_graph6, from_edge_mask
+from autorbit.graphs import all_pairs, edge_set, emit_graph6, from_edge_mask
+from autorbit.perms import reduce_generators
 from autorbit.ratio import verify_ratio_identity
 from autorbit.recon import augmented_deck, recover_aut_order, unique_extension_filter
 
@@ -46,6 +48,44 @@ def test_order_matches_closed_form_and_sympy(graph, expected):
     group = automorphism_group(graph)
     assert group.order == expected
     assert sympy_order(group) == expected
+
+
+def every_small_graph():
+    for n in range(7):
+        for mask in range(1 << math.comb(n, 2)):
+            yield from_edge_mask(n, mask), None
+
+
+def seeded_cases():
+    """Seeded graphs at n = 7-40, plain and with a second pair colour."""
+    rng = random.Random("first-path-order")
+    for n in range(7, 41):
+        for _ in range(4):
+            graph = smallgraphs.seeded_graph(rng, n)
+            yield graph, None
+            yield graph, edge_set(rng.sample(all_pairs(n), rng.randint(0, math.comb(n, 2) // 4)), n)
+
+
+def family_cases():
+    for _, graph, _ in families():
+        yield graph, None
+    for graph in (smallgraphs.grid(8, 8), smallgraphs.cycle(64), smallgraphs.empty(50), smallgraphs.complete(30)):
+        yield graph, None
+
+
+def test_first_path_order_matches_the_base_reduction():
+    for graph, colour in itertools.chain(every_small_graph(), seeded_cases(), family_cases()):
+        outcome = canon._search(graph, colour)
+        assert outcome.order == reduce_generators(outcome.generators, outcome.base)[1], (graph, colour)
+
+
+def test_first_path_order_matches_sympy_on_a_seeded_sample():
+    rng = random.Random("first-path-sympy")
+    sample = rng.sample(list(every_small_graph()), 150) + rng.sample(list(seeded_cases()), 150)
+    for graph, colour in sample:
+        outcome = canon._search(graph, colour)
+        gens = [Permutation(list(g)) for g in outcome.generators] or [Permutation(list(range(graph.n)))]
+        assert outcome.order == PermutationGroup(gens).order(), (graph, colour)
 
 
 def test_order_matches_sympy_on_random_graphs():

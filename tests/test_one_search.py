@@ -6,9 +6,9 @@ import pytest
 
 import smallgraphs
 from autorbit import canon, perms
-from autorbit.canon import automorphism_group, canonical_form, is_isomorphic
+from autorbit.canon import automorphism_group, canonical_form, edge_set_stabilizer_order, is_isomorphic
 from autorbit.ermodel import sample_er
-from autorbit.recon import augmented_deck, recover_aut_order
+from autorbit.recon import augmented_deck, recover_aut_order, unique_extension_filter
 
 
 @pytest.fixture
@@ -68,18 +68,39 @@ def test_memo_is_per_object_not_global(searches):
     assert searches() == 2
 
 
-def test_reduced_group_is_kept_on_the_graph(monkeypatch):
-    reductions = []
+@pytest.fixture
+def reductions(monkeypatch):
+    """The ``reduce_generators`` calls made so far."""
+    calls = []
     real = perms.reduce_generators
 
     def counting(*args, **kwargs):
-        reductions.append(args)
+        calls.append(args)
         return real(*args, **kwargs)
 
     for module in (perms, canon):
         monkeypatch.setattr(module, "reduce_generators", counting)
+    return calls
+
+
+def test_reduced_group_is_kept_on_the_graph(reductions):
     g = smallgraphs.twin_hubs()
     group = automorphism_group(g)
     assert automorphism_group(g) is group
     assert group.order == 8
     assert len(reductions) == 1
+
+
+def test_extension_filter_reduces_no_extended_graphs_group(reductions):
+    for seed in range(3):
+        reductions.clear()
+        report = unique_extension_filter(augmented_deck(connected_g7(f"filter-{seed}")), origins="all")
+        extensions = sum(len(card.classes) for card in report.cards)
+        assert extensions > len(report.cards)
+        assert len(reductions) <= len(report.cards)  # at most the card's own group, per card class
+
+
+def test_edge_set_stabilizer_order_reduces_nothing(reductions):
+    assert edge_set_stabilizer_order(smallgraphs.twin_hubs(), [(0, 4), (4, 5)]) == 2
+    assert edge_set_stabilizer_order(smallgraphs.complete(6), [(0, 1)]) == 48
+    assert not reductions

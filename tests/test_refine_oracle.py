@@ -79,16 +79,24 @@ def check_refine_matches_full_refinement(rows, n, layers, rng):
 
 
 def check_individualizing_walks(rows, n, layers, rng):
+    """Walks down from the root as the search calls ``_refine``: one new cell a pass, and the
+    cells' vertex masks carried from node to node, updated in place."""
     for walk in range(3):
-        cells = full_refine(rows, canon.unit_partition(n), layers)
+        unit = canon.unit_partition(n)
+        masks = [(1 << n) - 1] * len(unit)
+        cells = canon._refine(rows, unit, layers, [0] * len(unit), masks)
+        assert cells == full_refine(rows, unit, layers)
         while any(len(cell) > 1 for cell in cells):
+            assert masks == [sum(1 << w for w in cell) for cell in cells]
             open_cells = [i for i, cell in enumerate(cells) if len(cell) > 1]
             # the search's choice first (first smallest cell, first vertex), then seeded ones
             i = min(open_cells, key=lambda j: len(cells[j])) if walk == 0 else rng.choice(open_cells)
             v = cells[i][0] if walk == 0 else rng.choice(cells[i])
             split = cells[:i] + [[v], [w for w in cells[i] if w != v]] + cells[i + 1:]
-            cells = canon._refine(rows, split, layers, [i])
+            masks = masks[:i] + [1 << v, masks[i] ^ 1 << v] + masks[i + 1:]
+            cells = canon._refine(rows, split, layers, [i], masks)
             assert cells == full_refine(rows, split, layers)
+        assert masks == [sum(1 << w for w in cell) for cell in cells]
 
 
 @pytest.mark.parametrize("graph, layers", CASES)
