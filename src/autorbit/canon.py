@@ -19,7 +19,8 @@ one swap a level, and its leaf are written down without search. Known
 automorphisms fixing the branching sequence skip equivalent siblings (on the
 first path, orbits kept in a union-find), so the at most n - 1 harvested
 generators are strong for the first path, and the group order is the product
-of its orbit lengths, multiplied in as each first-path node finishes. A
+of its orbit lengths, multiplied in as each first-path node finishes. The
+group is that harvest and order, unreduced: rarely, a generator is redundant. A
 second pair colour rides in the row ints (bits n..2n-1) and in a second
 triangle after the first, so the same search finds the automorphisms that
 keep an edge set in place. An isomorphism test stops at a leaf equal to the
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceededError
 from .graphs import EdgeSet, Graph, edge_set
-from .perms import Orbits, Perm, PermGroup, point_orbit, reduce_generators
+from .perms import Orbits, Perm, PermGroup, point_orbit
 
 OrderedPartition = list[list[int]]
 
@@ -275,21 +276,15 @@ def _outcome(graph: Graph, stop: int | None = None) -> _SearchOutcome:
 def automorphism_group(graph: Graph) -> PermGroup:
     """Automorphism group computed by individualization-refinement search.
 
-    The harvest is reduced along the first-path base; the group carries the
-    order the search read off that path and is kept on the graph with it.
+    The generators are the search's harvest, strong for its first-path base
+    and at most n - 1, each joining two of that path's orbits; the group
+    carries the order the search read off that path. Only the search is kept
+    on the graph, so each call builds the group anew from it.
     """
-    group = graph.__dict__.get("_aut_group")
-    if group is None:
-        outcome = _outcome(graph)
-        generators, _ = reduce_generators(outcome.generators, outcome.base)
-        group = graph.__dict__["_aut_group"] = PermGroup(graph.n, tuple(sorted(generators)))
-        group.__dict__["_order"] = outcome.order
+    outcome = _outcome(graph)
+    group = PermGroup(graph.n, tuple(sorted(outcome.generators)))
+    group.__dict__["_order"] = outcome.order
     return group
-
-
-def aut_order(graph: Graph) -> int:
-    """|Aut(graph)|, read off the graph's search with no group built."""
-    return _outcome(graph).order
 
 
 def edge_set_stabilizer_order(graph: Graph, pairs) -> int:

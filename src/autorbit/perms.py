@@ -2,9 +2,9 @@
 
 A permutation of degree n is a tuple ``images`` of length n where
 ``images[i]`` is the image of vertex i. Groups are carried as generator
-lists; the search's groups carry the order it multiplied up along its first
-path. The order ``reduce_generators`` reads off a base, and the breadth-first
-closure behind ``elements``, are kept as the reference definitions.
+lists; the search's groups carry its harvest and the order it multiplied up
+along its first path. ``reduce_generators`` (order read off a base) and the
+closure behind ``elements`` are reference definitions, off every search path.
 """
 
 from __future__ import annotations

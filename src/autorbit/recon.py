@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .canon import aut_order, automorphism_group, canonical_form
+from .canon import automorphism_group, canonical_form
 from .errors import NotASubsetError, NotDivisibleError, ParameterRangeError, PreconditionError
 from .graphs import EdgeSet, Graph, edge_set
 from .orbits import edge_set_orbit, vertex_orbit
@@ -226,8 +226,9 @@ def unique_extension_filter(deck: Deck, origins: str = "isolated") -> ExtensionF
     extended graph minus that set is the card, the ratio law makes this hold
     exactly when the quantity equals |Aut(extended)|, which decides it. A
     ratio certifies when every card class attains it with exactly one
-    consistent class and all the extended graphs agree; the reconstruction
-    is unique when exactly one certificate survives.
+    consistent class and all the extended graphs agree on a graph whose own
+    augmented deck has the input's card classes; the reconstruction is unique
+    when exactly one certificate survives.
     """
     if deck.kind != "augmented":
         raise PreconditionError("the extension filter expects an augmented deck")
@@ -252,7 +253,7 @@ def unique_extension_filter(deck: Deck, origins: str = "isolated") -> ExtensionF
                 seen.update(orbit.elements)
                 extended = Graph(card.n, card.edges | cand)
                 ratio = Fraction(cls.multiplicity * group.order, orbit.size)
-                ext_aut = aut_order(extended)
+                ext_aut = automorphism_group(extended).order
                 ext_classes.append(
                     ExtensionClass(
                         edges=tuple(sorted(cand)),
@@ -285,6 +286,8 @@ def unique_extension_filter(deck: Deck, origins: str = "isolated") -> ExtensionF
         if all(len(p) == 1 for p in picks) and len({p[0].extended_certificate for p in picks}) == 1:
             chosen = picks[0][0]
             graph = Graph(n, card_reports[0].graph.edges | frozenset(chosen.edges))
+            if sorted(augmented_deck(graph).certificates) != sorted(deck.certificates):
+                continue  # every card agrees on a graph whose own deck is another one
             certified.append(CertifiedMatch(ratio=ratio, certificate=chosen.extended_certificate, graph=graph))
 
     # a consistent ratio is its extended graph's |Aut|, so certified certificates are distinct

@@ -277,6 +277,14 @@ def test_recon_filter_command(capsys):
     assert all("origin_vertices" in entry for entry in results["deck"])
 
 
+def test_recon_filter_certifies_no_wrong_graph_for_eqjo(capsys):
+    code, out, _ = run_cli(capsys, "recon-filter", "--graph", "EQjO", "--origins", "all")
+    assert code == 0
+    results = report_of(out)["results"]
+    assert results["unique"] is False
+    assert results["certified"] == [] and results["matches_input"] is None
+
+
 def test_recon_filter_blind_mode(capsys):
     code, out, _ = run_cli(
         capsys, "recon-filter", "--graph", emit_graph6(smallgraphs.path(4)), "--blind"

@@ -1,4 +1,4 @@
-"""Group orders read off the search's base, checked against sympy and closed forms.
+"""The search's harvest as the group, and orders read off its base, checked against sympy and closed forms.
 
 The search's groups must never need their element list: a guard replaces the
 closure with one that raises and runs every production entry point.
@@ -17,10 +17,11 @@ from autorbit import canon, perms
 from autorbit.canon import automorphism_group
 from autorbit.cli import main
 from autorbit.ermodel import verify_proof_chain
-from autorbit.graphs import all_pairs, edge_set, emit_graph6, from_edge_mask
-from autorbit.perms import reduce_generators
+from autorbit.graphs import all_pairs, edge_set, emit_graph6, from_edge_mask, parse_graph6
+from autorbit.perms import apply_edge_set, is_automorphism, reduce_generators
 from autorbit.ratio import verify_ratio_identity
 from autorbit.recon import augmented_deck, recover_aut_order, unique_extension_filter
+from test_search_golden import aut_graphs
 
 
 def sympy_order(group) -> int:
@@ -71,12 +72,34 @@ def family_cases():
         yield graph, None
     for graph in (smallgraphs.grid(8, 8), smallgraphs.cycle(64), smallgraphs.empty(50), smallgraphs.complete(30)):
         yield graph, None
+    for graph in aut_graphs().values():  # the golden ``aut`` reports' graphs
+        yield graph, None
 
 
 def test_first_path_order_matches_the_base_reduction():
+    # the harvest is the group: automorphisms (keeping the colour), at most n - 1 of
+    # them, strong for the base, and handed out by automorphism_group as they are
     for graph, colour in itertools.chain(every_small_graph(), seeded_cases(), family_cases()):
-        outcome = canon._search(graph, colour)
-        assert outcome.order == reduce_generators(outcome.generators, outcome.base)[1], (graph, colour)
+        outcome = canon._outcome(graph) if colour is None else canon._search(graph, colour)
+        gens = outcome.generators
+        assert all(is_automorphism(g, graph) for g in gens), (graph, colour)
+        assert colour is None or all(apply_edge_set(g, colour) == colour for g in gens), (graph, colour)
+        assert len(gens) <= max(graph.n - 1, 0), (graph, colour)
+        assert outcome.order == reduce_generators(gens, outcome.base)[1], (graph, colour)
+        if colour is None:
+            group = automorphism_group(graph)
+            assert group.generators == tuple(sorted(gens)) and group.order == outcome.order
+
+
+def test_a_redundant_harvest_is_kept_as_it_is():
+    graph = parse_graph6("X?_????????I??`???A??????????A????G??O??@??????????")
+    outcome = canon._search(graph)
+    reduced, order = reduce_generators(outcome.generators, outcome.base)
+    assert (graph.n, graph.m, len(outcome.generators), len(reduced)) == (25, 10, 15, 14)
+    assert outcome.order == order == 464_486_400
+    group = automorphism_group(graph)
+    assert len(group.generators) == 15 and group.order == 464_486_400
+    assert sympy_order(group) == sympy_order(perms.PermGroup(25, reduced)) == 464_486_400
 
 
 def test_first_path_order_matches_sympy_on_a_seeded_sample():

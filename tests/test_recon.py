@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import filter_census
 import smallgraphs
 from autorbit.canon import automorphism_group, canonical_form, is_isomorphic
 from autorbit.errors import (
@@ -14,7 +15,7 @@ from autorbit.errors import (
     PreconditionError,
     VertexRangeError,
 )
-from autorbit.graphs import Graph, from_edge_mask
+from autorbit.graphs import Graph, from_edge_mask, parse_graph6
 from autorbit import recon
 from autorbit.orbits import edge_set_orbit, vertex_orbit
 from autorbit.recon import (
@@ -274,7 +275,7 @@ def test_filter_walks_one_orbit_per_class_under_the_card_group(monkeypatch):
             report = unique_extension_filter(augmented_deck(g).blind(), origins=origins)
             expected = [automorphism_group(c.graph) for c in report.cards for _ in c.classes]
             assert len(walked) == len(expected)
-            assert all(w is e for w, e in zip(walked, expected))
+            assert walked == expected
 
 
 @pytest.mark.parametrize("origins", ["isolated", "all"])
@@ -288,6 +289,26 @@ def test_certified_certificates_are_pairwise_distinct(origins):
         assert len(set(certs)) == len(certs)
         assert [canonical_form(r) for r in report.reconstructed] == sorted(certs)
         assert report.unique == (len(report.reconstructed) == 1)
+
+
+def test_filter_certifies_no_graph_with_another_deck():
+    # EQjO (|Aut| 8): at ratio 4 each of its two card classes has one consistent
+    # extension, and both extend to EOjo (|Aut| 4), whose augmented deck is another
+    g = parse_graph6("EQjO")
+    wrong = parse_graph6("EOjo")
+    assert sorted(augmented_deck(wrong).certificates) != sorted(augmented_deck(g).certificates)
+    report = unique_extension_filter(augmented_deck(g).blind(), origins="all")
+    assert report.certified == () and not report.unique
+    isolated = unique_extension_filter(augmented_deck(g).blind())
+    assert isolated.unique and canonical_form(isolated.reconstructed[0]) == canonical_form(g)
+
+
+@pytest.mark.parametrize("n, isolated, all_origins", [(3, 2, 2), (4, 6, 4), (5, 14, 12), (6, 45, 38)])
+def test_filter_census_certifies_no_wrong_graph(n, isolated, all_origins):
+    graphs = filter_census.classes(n)
+    labelled = {canonical_form(from_edge_mask(n, mask)) for mask in range(1 << math.comb(n, 2))}
+    assert [canonical_form(g) for g in graphs] == sorted(labelled)  # one graph per class
+    assert filter_census.census(graphs) == {"isolated": (isolated, []), "all": (all_origins, [])}
 
 
 def test_filter_all_origin_mode_still_reconstructs():

@@ -1,7 +1,7 @@
 """Search outcomes pinned to values captured from the twin-pruning search.
 
 Refinement, leaves and sibling pruning may get cheaper, but no certificate,
-base, best leaf, order or reduced generator list may change. ``golden/search.json``
+base, best leaf, order or reported generator list may change. ``golden/search.json``
 holds, from the search that skips a sibling twin to the node's first child
 (recording the swap of the two on the first path), peels the rest of the
 first path once every open cell is a twin class, tests the map from the
