@@ -225,6 +225,8 @@ def _cmd_er_sample(args):
         }
         inputs = {"graph": args.graph, "trials": args.trials, "seed": args.seed}
         return inputs, results, failed
+    if args.n is None or args.m is None:
+        raise AutorbitError("er-sample needs --n and --m (or --trials with --graph)")
     if args.graph is not None:
         raise AutorbitError("--graph is the estimate mode's target and needs --trials")
     sample = sample_er(args.n, args.m, args.seed)
@@ -306,7 +308,7 @@ def _cmd_recover_aut(args):
 def _cmd_recon_filter(args):
     graph = load_graph(args.graph)
     full_deck = augmented_deck(graph)
-    report = unique_extension_filter(full_deck.blind(), origins=args.origins)
+    report = unique_extension_filter(full_deck.blind())
     matches = None
     failed = False
     if report.unique:
@@ -323,7 +325,7 @@ def _cmd_recon_filter(args):
             )
         deck_view.append(entry)
     results = {**_fields(report), "matches_input": matches, "deck": deck_view}
-    inputs = {"graph": args.graph, "origins": args.origins, "blind": args.blind}
+    inputs = {"graph": args.graph, "blind": args.blind}
     return inputs, results, failed
 
 
@@ -407,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recon-filter", help="equal-ratio unique-extension filter on the deck")
     graph_flag(p)
-    p.add_argument("--origins", choices=("isolated", "all"), default="isolated")
     p.add_argument("--blind", action="store_true", help="omit origin-vertex bookkeeping from the report")
 
     return parser
@@ -419,9 +420,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "er-sample" and args.trials is None and (args.n is None or args.m is None):
-        print("error: er-sample needs --n and --m (or --trials with --graph)", file=sys.stderr)
-        return 2
     for flag, low in (("threads", 1), ("nmax", 1), ("samples", 0)):
         if getattr(args, flag, low) < low:
             print(f"error: --{flag} must be at least {low}", file=sys.stderr)

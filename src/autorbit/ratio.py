@@ -39,11 +39,10 @@ from .perms import PermGroup
 AutCache = dict[tuple[int, int], PermGroup]
 
 SUBSET_POLICIES = ("single-edges", "all-subsets", "random")
-# Largest predicted orbit walked on the larger-group side, picked on seeded G(8, m)
-# as the least total time. There (2-core VM) the set walk costs 10-17 us per state
-# with warm groups, and one coloured search 0.04-0.09 ms, one edge against E8 or K8
-# (28 states) included, so predictions in (16, 32] now walk slower than they search.
-WALK_CUTOFF = 32
+# Largest predicted orbit walked on the larger-group side, picked among 4, 8, 16 and
+# 32 by the least time on ratio-random-n8's ops, cold groups: 8,400 checks took
+# 1.24-1.33 s at 8 against 1.33-1.39 s at 32 (least of 7 reps, 3 seeds, 2-core VM).
+WALK_CUTOFF = 8
 ALL_SUBSETS_CAP = 5
 # sweep workers; the fork start method launches them all at the first submit
 THREADS_CAP = 64

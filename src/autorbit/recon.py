@@ -187,35 +187,26 @@ class CertifiedMatch:
 @dataclass(frozen=True)
 class ExtensionFilterReport:
     total_edges: int
-    origin_mode: str
     cards: tuple[CardClassReport, ...]
     certified: tuple[CertifiedMatch, ...]
     unique: bool
     reconstructed: tuple[Graph, ...]
 
 
-def _candidate_origins(card: Graph, mode: str) -> list[int]:
-    if mode not in ("isolated", "all"):
-        raise ValueError(f"unknown origin mode {mode!r}")
-    if mode == "isolated":
-        isolated = [v for v in range(card.n) if card.degree(v) == 0]
-        if isolated:
-            return isolated
-    return list(range(card.n))
+def _candidate_sets(card: Graph, degree_gap: int) -> itertools.combinations:
+    """The degree_gap-subsets of pairs at the card's first isolated vertex, in sorted order.
+
+    Any permutation of the isolated vertices is a card automorphism, and it
+    moves pairs at a later one to smaller pairs at the first, so every orbit
+    class's smallest member lies there.
+    """
+    u = next((v for v in range(card.n) if card.degree(v) == 0), None)
+    if u is None:
+        raise PreconditionError("an augmented card keeps its deleted vertex isolated; this card has none")
+    return itertools.combinations([(min(u, v), max(u, v)) for v in range(card.n) if v != u], degree_gap)
 
 
-def _candidate_sets(card: Graph, degree_gap: int, mode: str) -> set[EdgeSet]:
-    """All degree_gap-subsets of non-edges sharing a plausible origin vertex."""
-    non_edges = card.non_edges()
-    out: set[EdgeSet] = set()
-    for u in _candidate_origins(card, mode):
-        if card.degree(u) + degree_gap <= card.n - 1:
-            local = [p for p in non_edges if u in p]
-            out.update(map(frozenset, itertools.combinations(local, degree_gap)))
-    return out
-
-
-def unique_extension_filter(deck: Deck, origins: str = "isolated") -> ExtensionFilterReport:
+def unique_extension_filter(deck: Deck) -> ExtensionFilterReport:
     """Group candidate extensions per card by orbit and match ratios across cards.
 
     For each card class the candidates are partitioned into orbit classes
@@ -226,9 +217,16 @@ def unique_extension_filter(deck: Deck, origins: str = "isolated") -> ExtensionF
     extended graph minus that set is the card, the ratio law makes this hold
     exactly when the quantity equals |Aut(extended)|, which decides it. A
     ratio certifies when every card class attains it with exactly one
-    consistent class and all the extended graphs agree on a graph whose own
-    augmented deck has the input's card classes; the reconstruction is unique
-    when exactly one certificate survives.
+    consistent class and all the extended graphs agree; the reconstruction is
+    unique when exactly one certificate survives.
+
+    A certified graph H has the input deck. Each card class c (card K_c,
+    multiplicity m_c) picked a set X_c, the whole star of the isolated vertex
+    u_c in K_c + X_c ~ H, with |AO(X_c)| = m_c. Let V_c be the vertices of H
+    whose star lies in the Aut(H)-orbit of X_c's image. Each of them has an
+    augmented card ~ K_c, so the V_c are disjoint, and v -> star(v) maps V_c
+    onto that orbit, so |V_c| >= m_c. As the m_c sum to n, |V_c| = m_c and
+    the V_c partition H's vertices: H's augmented deck is the input deck.
     """
     if deck.kind != "augmented":
         raise PreconditionError("the extension filter expects an augmented deck")
@@ -244,9 +242,9 @@ def unique_extension_filter(deck: Deck, origins: str = "isolated") -> ExtensionF
         ext_classes: list[ExtensionClass] = []
         if gap >= 1:
             group = automorphism_group(card)
-            remaining = _candidate_sets(card, gap, origins)
             seen: set[EdgeSet] = set()
-            for cand in sorted(remaining, key=lambda s: tuple(sorted(s))):
+            for pairs in _candidate_sets(card, gap):
+                cand = frozenset(pairs)
                 if cand in seen:
                     continue
                 orbit = edge_set_orbit(group, cand)
@@ -256,7 +254,7 @@ def unique_extension_filter(deck: Deck, origins: str = "isolated") -> ExtensionF
                 ext_aut = automorphism_group(extended).order
                 ext_classes.append(
                     ExtensionClass(
-                        edges=tuple(sorted(cand)),
+                        edges=pairs,
                         orbit_size=orbit.size,
                         ratio=ratio,
                         extended_aut=ext_aut,
@@ -286,15 +284,12 @@ def unique_extension_filter(deck: Deck, origins: str = "isolated") -> ExtensionF
         if all(len(p) == 1 for p in picks) and len({p[0].extended_certificate for p in picks}) == 1:
             chosen = picks[0][0]
             graph = Graph(n, card_reports[0].graph.edges | frozenset(chosen.edges))
-            if sorted(augmented_deck(graph).certificates) != sorted(deck.certificates):
-                continue  # every card agrees on a graph whose own deck is another one
             certified.append(CertifiedMatch(ratio=ratio, certificate=chosen.extended_certificate, graph=graph))
 
     # a consistent ratio is its extended graph's |Aut|, so certified certificates are distinct
     reconstructed = tuple(match.graph for match in sorted(certified, key=lambda m: m.certificate))
     return ExtensionFilterReport(
         total_edges=total_edges,
-        origin_mode=origins,
         cards=tuple(card_reports),
         certified=tuple(certified),
         unique=len(certified) == 1,

@@ -1,10 +1,10 @@
-"""Census of the unique-extension filter: every isomorphism class on n vertices, both origin modes.
+"""Census of the unique-extension filter: every isomorphism class on n vertices.
 
 Each class's blind augmented deck goes through ``unique_extension_filter``;
 a certified match whose certificate is not the class's own is a wrong
 certification. Run as a script, ``python tests/filter_census.py 7`` prints
-the tallies per mode and any wrong certification (n = 7 takes tens of
-seconds, n = 8 minutes).
+the tally and any wrong certification (n = 7 takes seconds, n = 8 a few
+minutes).
 """
 
 import sys
@@ -16,8 +16,6 @@ if __name__ == "__main__":  # run as a script: the package sits in ../src
 from autorbit.canon import canonical_form
 from autorbit.graphs import Graph, emit_graph6
 from autorbit.recon import augmented_deck, unique_extension_filter
-
-MODES = ("isolated", "all")
 
 
 def classes(n: int) -> list[Graph]:
@@ -37,26 +35,23 @@ def classes(n: int) -> list[Graph]:
     return [kept[cert] for cert in sorted(kept)]
 
 
-def census(graphs: list[Graph]) -> dict[str, tuple[int, list[tuple[str, str]]]]:
-    """Per origin mode: the number of graphs certified as themselves, and each
-    wrong certification as (the graph's graph6, the certified graph's graph6)."""
-    out = {mode: (0, []) for mode in MODES}
+def census(graphs: list[Graph]) -> tuple[int, list[tuple[str, str]]]:
+    """The number of graphs certified as themselves, and each wrong
+    certification as (the graph's graph6, the certified graph's graph6)."""
+    certified, wrong = 0, []
     for graph in graphs:
-        deck = augmented_deck(graph).blind()
         own = canonical_form(graph)
-        for mode in MODES:
-            certified, wrong = out[mode]
-            report = unique_extension_filter(deck, origins=mode)
-            wrong += [(emit_graph6(graph), emit_graph6(m.graph)) for m in report.certified if m.certificate != own]
-            out[mode] = (certified + any(m.certificate == own for m in report.certified), wrong)
-    return out
+        report = unique_extension_filter(augmented_deck(graph).blind())
+        wrong += [(emit_graph6(graph), emit_graph6(m.graph)) for m in report.certified if m.certificate != own]
+        certified += any(m.certificate == own for m in report.certified)
+    return certified, wrong
 
 
 if __name__ == "__main__":
     n = int(sys.argv[1])
     graphs = classes(n)
     print(f"n={n}: {len(graphs)} classes")
-    for mode, (certified, wrong) in census(graphs).items():
-        print(f"{mode}: {certified} certified, {len(wrong)} wrong")
-        for graph, match in wrong:
-            print(f"  {graph} certified as {match}")
+    certified, wrong = census(graphs)
+    print(f"{certified} certified, {len(wrong)} wrong")
+    for graph, match in wrong:
+        print(f"  {graph} certified as {match}")

@@ -168,6 +168,21 @@ def test_er_sample_usage_error(capsys):
     assert "er-sample" in err
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        ([], "er-sample needs --n and --m (or --trials with --graph)"),
+        (["--n", "5"], "er-sample needs --n and --m (or --trials with --graph)"),
+        (["--m", "4", "--graph", "Cs"], "er-sample needs --n and --m (or --trials with --graph)"),
+        (["--n", "5", "--m", "4", "--graph", "Cs"], "--graph is the estimate mode's target and needs --trials"),
+        (["--trials", "3", "--n", "5"], "estimate mode needs --graph as the target and takes no --n or --m"),
+    ],
+)
+def test_er_sample_mode_errors_keep_their_lines(capsys, argv, line):
+    code, out, err = run_cli(capsys, "er-sample", "--seed", "1", *argv)
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
 def test_er_sample_has_no_labels_flag(capsys):
     code, out, err = run_cli(capsys, "er-sample", "--n", "5", "--m", "4", "--seed", "9", "--labels", "a")
     assert code == 2
@@ -278,11 +293,12 @@ def test_recon_filter_command(capsys):
 
 
 def test_recon_filter_certifies_no_wrong_graph_for_eqjo(capsys):
-    code, out, _ = run_cli(capsys, "recon-filter", "--graph", "EQjO", "--origins", "all")
+    code, out, _ = run_cli(capsys, "recon-filter", "--graph", "EQjO")
     assert code == 0
     results = report_of(out)["results"]
-    assert results["unique"] is False
-    assert results["certified"] == [] and results["matches_input"] is None
+    assert results["unique"] is True and results["matches_input"] is True
+    code, out, err = run_cli(capsys, "recon-filter", "--graph", "EQjO", "--origins", "all")
+    assert code == 2 and not out and "--origins" in err
 
 
 def test_recon_filter_blind_mode(capsys):

@@ -2,9 +2,8 @@
 
 ``golden/cli_reports.json`` maps a case name to the exact stdout line of
 ``autorbit.cli.main`` on fixed graphs and seeds, less its timing field. It
-covers all eleven commands, both ``recon-filter`` origin modes with and
-without ``--blind`` (the deck of ``Cs`` certifies nothing from all origins),
-a mixed ``sweep --subsets single,random`` and a ``proof-chain`` whose checks
+covers all eleven commands, ``recon-filter`` with and without ``--blind``
+(the deck of ``Cs`` certifies nothing), a mixed ``sweep --subsets single,random`` and a ``proof-chain`` whose checks
 fail. Rewrite it only for a deliberate change of report content or format.
 """
 
@@ -63,8 +62,7 @@ CASES = {
     "recover-aut/vertex": ["recover-aut", "--graph", G6, "--vertex", "2"],
 }
 for _name, _g6 in (("p4", P4), ("c5", C5), ("twin-hubs", TWIN), ("g6", G6), ("cs", "Cs")):
-    for _origins in ("isolated", "all"):
-        CASES[f"recon-filter/{_name}-{_origins}"] = ["recon-filter", "--graph", _g6, "--origins", _origins]
+    CASES[f"recon-filter/{_name}"] = ["recon-filter", "--graph", _g6]
     CASES[f"recon-filter/{_name}-blind"] = ["recon-filter", "--graph", _g6, "--blind"]
 
 

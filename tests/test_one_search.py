@@ -100,7 +100,7 @@ def test_second_group_call_runs_no_search(searches):
 
 def test_extension_filter_reduces_no_extended_graphs_group(reductions):
     for seed in range(3):
-        report = unique_extension_filter(augmented_deck(connected_g7(f"filter-{seed}")), origins="all")
+        report = unique_extension_filter(augmented_deck(connected_g7(f"filter-{seed}")))
         extensions = sum(len(card.classes) for card in report.cards)
         assert extensions > len(report.cards)
     assert not reductions
@@ -123,10 +123,9 @@ def test_no_production_path_reduces(reductions, capsys):
     deck = augmented_deck(twin_hubs)
     multiplicity = deck.multiplicities()[deck.certificates[4]]
     assert recover_aut_order(deck.cards[4].graph, multiplicity, deck.cards[4].deleted_edges) == 8
-    for origins in ("isolated", "all"):
-        unique_extension_filter(augmented_deck(g7).blind(), origins=origins)
+    unique_extension_filter(augmented_deck(g7).blind())
     graph6 = emit_graph6(twin_hubs)
-    for argv in (["aut"], ["verify", "--edges", "0-4,4-5"], ["recover-aut"], ["recon-filter", "--origins", "all"]):
+    for argv in (["aut"], ["verify", "--edges", "0-4,4-5"], ["recover-aut"], ["recon-filter"]):
         assert main([argv[0], "--graph", graph6, *argv[1:]]) == 0
         assert json.loads(capsys.readouterr().out)["command"] == argv[0]
     assert not reductions

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -216,7 +217,6 @@ def test_filter_report_details():
     g = smallgraphs.path(4)
     report = unique_extension_filter(augmented_deck(g).blind())
     assert report.total_edges == 3
-    assert report.origin_mode == "isolated"
     assert len(report.cards) == 2  # end-deleted and inner-deleted card classes
     for card_report in report.cards:
         assert card_report.deleted_degree in (1, 2)
@@ -244,13 +244,12 @@ def seeded_connected_graphs(seed, count):
     return graphs
 
 
-@pytest.mark.parametrize("origins", ["isolated", "all"])
-def test_consistency_flag_matches_the_extended_walk(origins):
+def test_consistency_flag_matches_the_extended_walk():
     # the deck-multiplicity law itself: the extended graph's orbit of the added
     # set, walked under the extended graph's group, equals the multiplicity
     seen = Counter()
     for g in seeded_connected_graphs(41, 60):
-        report = unique_extension_filter(augmented_deck(g).blind(), origins=origins)
+        report = unique_extension_filter(augmented_deck(g).blind())
         for card_report in report.cards:
             card = card_report.graph
             for ext in card_report.classes:
@@ -270,21 +269,19 @@ def test_filter_walks_one_orbit_per_class_under_the_card_group(monkeypatch):
 
     monkeypatch.setattr(recon, "edge_set_orbit", spy)
     for g in seeded_connected_graphs(43, 15):
-        for origins in ("isolated", "all"):
-            walked.clear()
-            report = unique_extension_filter(augmented_deck(g).blind(), origins=origins)
-            expected = [automorphism_group(c.graph) for c in report.cards for _ in c.classes]
-            assert len(walked) == len(expected)
-            assert walked == expected
+        walked.clear()
+        report = unique_extension_filter(augmented_deck(g).blind())
+        expected = [automorphism_group(c.graph) for c in report.cards for _ in c.classes]
+        assert len(walked) == len(expected)
+        assert walked == expected
 
 
-@pytest.mark.parametrize("origins", ["isolated", "all"])
-def test_certified_certificates_are_pairwise_distinct(origins):
+def test_certified_certificates_are_pairwise_distinct():
     # reconstructed graphs are the certified ones in certificate order, with no
     # two certified ratios pointing at one isomorphism class
     named = [smallgraphs.triangle(), smallgraphs.path(4), smallgraphs.cycle(5)]
     for g in named + list(connected_graphs(5)) + seeded_connected_graphs(47, 60):
-        report = unique_extension_filter(augmented_deck(g).blind(), origins=origins)
+        report = unique_extension_filter(augmented_deck(g).blind())
         certs = [match.certificate for match in report.certified]
         assert len(set(certs)) == len(certs)
         assert [canonical_form(r) for r in report.reconstructed] == sorted(certs)
@@ -292,32 +289,73 @@ def test_certified_certificates_are_pairwise_distinct(origins):
 
 
 def test_filter_certifies_no_graph_with_another_deck():
-    # EQjO (|Aut| 8): at ratio 4 each of its two card classes has one consistent
-    # extension, and both extend to EOjo (|Aut| 4), whose augmented deck is another
+    # EQjO (|Aut| 8): extending its cards at non-isolated vertices certifies EOjo
+    # (|Aut| 4), whose augmented deck is another; from the isolated vertex EQjO
+    # is reconstructed uniquely
     g = parse_graph6("EQjO")
     wrong = parse_graph6("EOjo")
     assert sorted(augmented_deck(wrong).certificates) != sorted(augmented_deck(g).certificates)
-    report = unique_extension_filter(augmented_deck(g).blind(), origins="all")
-    assert report.certified == () and not report.unique
-    isolated = unique_extension_filter(augmented_deck(g).blind())
-    assert isolated.unique and canonical_form(isolated.reconstructed[0]) == canonical_form(g)
+    report = unique_extension_filter(augmented_deck(g).blind())
+    assert report.unique and canonical_form(report.reconstructed[0]) == canonical_form(g)
 
 
-@pytest.mark.parametrize("n, isolated, all_origins", [(3, 2, 2), (4, 6, 4), (5, 14, 12), (6, 45, 38)])
-def test_filter_census_certifies_no_wrong_graph(n, isolated, all_origins):
+@pytest.mark.parametrize("n, certified", [(3, 2), (4, 6), (5, 14), (6, 45)])
+def test_filter_census_certifies_no_wrong_graph(n, certified):
     graphs = filter_census.classes(n)
     labelled = {canonical_form(from_edge_mask(n, mask)) for mask in range(1 << math.comb(n, 2))}
     assert [canonical_form(g) for g in graphs] == sorted(labelled)  # one graph per class
-    assert filter_census.census(graphs) == {"isolated": (isolated, []), "all": (all_origins, [])}
+    assert filter_census.census(graphs) == (certified, [])
 
 
-def test_filter_all_origin_mode_still_reconstructs():
-    g = smallgraphs.path(4)
-    report = unique_extension_filter(augmented_deck(g).blind(), origins="all")
-    assert report.total_edges == 3
-    assert any(
-        canonical_form(r) == canonical_form(g) for r in report.reconstructed
-    )
+def graphs_with_shared_isolation(seed, count):
+    """``count`` seeded G(n, m) graphs, n cycling through 4-8, each with an
+    augmented card that has two or more isolated vertices."""
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        g = smallgraphs.seeded_graph(rng, 4 + len(graphs) % 5)
+        if any(sum(c.graph.degree(v) == 0 for v in range(g.n)) >= 2 for c in augmented_deck(g).cards):
+            graphs.append(g)
+    return graphs
+
+
+def test_certified_graphs_have_the_input_deck():
+    # the filter's docstring proves this, so the filter does not check it
+    graphs = [g for n in range(3, 7) for g in filter_census.classes(n)] + graphs_with_shared_isolation(53, 80)
+    checked = 0
+    for g in graphs:
+        deck = augmented_deck(g).blind()
+        for match in unique_extension_filter(deck).certified:
+            assert sorted(augmented_deck(match.graph).certificates) == sorted(deck.certificates)
+            checked += 1
+    assert checked >= 2 + 6 + 14 + 45
+
+
+def test_first_isolated_vertex_gives_the_reports_of_every_isolated_vertex(monkeypatch):
+    # the candidates at every isolated vertex, ordered by their sorted pairs
+    def every_isolated_vertex(card, gap):
+        sets = set()
+        for u in (v for v in range(card.n) if card.degree(v) == 0):
+            local = [p for p in card.non_edges() if u in p]
+            sets.update(map(frozenset, itertools.combinations(local, gap)))
+        return sorted(tuple(sorted(s)) for s in sets)
+
+    graphs = graphs_with_shared_isolation(59, 80)
+    first = [unique_extension_filter(augmented_deck(g).blind()) for g in graphs]
+    monkeypatch.setattr(recon, "_candidate_sets", every_isolated_vertex)
+    every = [unique_extension_filter(augmented_deck(g).blind()) for g in graphs]
+    assert first == every
+    assert any(r.certified for r in first)
+
+
+def test_filter_rejects_a_card_with_no_isolated_vertex():
+    # four 2K2 cards pass kelly_edge_count (m = 8 / 2 = 4), but an augmented card
+    # always keeps its deleted vertex isolated
+    matching = Graph(4, frozenset({(0, 1), (2, 3)}))
+    deck = Deck("augmented", (Card(matching),) * 4)
+    assert kelly_edge_count(deck) == 4
+    with pytest.raises(PreconditionError, match="isolated"):
+        unique_extension_filter(deck)
 
 
 def test_filter_preconditions(twin_hubs):
@@ -339,11 +377,6 @@ def test_filter_leaves_the_deck_checks_to_kelly():
     mixed = (Card(smallgraphs.empty(4)),) * 3 + (Card(smallgraphs.empty(5)),)
     with pytest.raises(PreconditionError, match="vertex count"):
         unique_extension_filter(Deck("augmented", mixed))
-
-
-def test_filter_origin_mode_validation(twin_hubs):
-    with pytest.raises(ValueError):
-        unique_extension_filter(augmented_deck(twin_hubs), origins="everything")
 
 
 def test_filter_extension_classes_give_isomorphic_extensions():
