@@ -281,8 +281,11 @@ def _cmd_recover_aut(args):
     deck = augmented_deck(graph)
     if len({card.deleted_edges for card in deck.cards}) < graph.n:  # else multiplicity != |AO_G(E_v)|
         raise PreconditionError("a K2 component or two isolated vertices share their incident edges")
-    true_order = automorphism_group(graph).order
+    group = automorphism_group(graph)
     mults = deck.multiplicities()
+    pseudo = [v for v in range(graph.n) if mults[deck.certificates[v]] != vertex_orbit(group, v).size]
+    if pseudo:  # recover_aut_order needs the multiplicity to be the orbit's size
+        raise PreconditionError(f"pseudo-similar vertices {pseudo}: their cards match cards from other orbits")
     vertices = [args.vertex] if args.vertex is not None else list(range(graph.n))
     entries = []
     failed = False
@@ -290,7 +293,7 @@ def _cmd_recover_aut(args):
         card = deck.cards[v]
         multiplicity = mults[deck.certificates[v]]
         recovered = recover_aut_order(card.graph, multiplicity, card.deleted_edges)
-        ok = recovered == true_order
+        ok = recovered == group.order
         failed = failed or not ok
         entries.append(
             {
@@ -301,7 +304,7 @@ def _cmd_recover_aut(args):
                 "match": ok,
             }
         )
-    results = {"true_order": str(true_order), "cards": entries}
+    results = {"true_order": str(group.order), "cards": entries}
     return {"graph": args.graph, "vertex": args.vertex}, results, failed
 
 
@@ -407,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     graph_flag(p)
     p.add_argument("--vertex", type=int)
 
-    p = sub.add_parser("recon-filter", help="equal-ratio unique-extension filter on the deck")
+    p = sub.add_parser("recon-filter", help="unique-extension filter on the deck")
     graph_flag(p)
     p.add_argument("--blind", action="store_true", help="omit origin-vertex bookkeeping from the report")
 

@@ -1,6 +1,6 @@
 """Deck machinery: vertex-deleted and incident-edge-deleted card multisets,
 multiplicities, automorphism-count recovery from a single card, and the
-equal-ratio unique-extension filter.
+unique-extension filter, which sums the ratio law over each card's extensions.
 
 An augmented card keeps all n vertices and deletes the edges incident on one
 of them, so the deleted vertex survives as an isolated vertex. Classic cards
@@ -138,7 +138,8 @@ def recover_aut_order(card: Graph, multiplicity: int, deleted: EdgeSet) -> int:
     ``deleted`` is the incident edge set that was removed to form the card
     (known in testing mode). The count is |Aut(card)| * multiplicity divided
     by the orbit size of the deleted set as non-edges of the card; the
-    division must be exact.
+    division must be exact. ``multiplicity`` must be the deleted vertex's orbit
+    size; a card matching a card from another orbit (pseudo-similar vertices) has more.
     """
     if multiplicity < 1:
         raise ParameterRangeError(f"a card's multiplicity is at least 1, got {multiplicity}")
@@ -162,10 +163,9 @@ class ExtensionClass:
 
     edges: tuple
     orbit_size: int
-    ratio: Fraction
     extended_aut: int
     extended_certificate: bytes
-    multiplicity_consistent: bool
+    star_vertices: int  # vertices of the extended graph whose incident edges are exactly ``edges``
 
 
 @dataclass(frozen=True)
@@ -206,92 +206,69 @@ def _candidate_sets(card: Graph, degree_gap: int) -> itertools.combinations:
     return itertools.combinations([(min(u, v), max(u, v)) for v in range(card.n) if v != u], degree_gap)
 
 
+def _star_vertices(graph: Graph, star: tuple) -> int:
+    """How many vertices of ``graph`` have exactly ``star``, one vertex's incident edges, as theirs."""
+    if not star:
+        return graph.degrees().count(0)  # every isolated vertex
+    return 2 if len(star) == 1 and all(graph.degree(v) == 1 for v in star[0]) else 1  # 2 on a K2 component
+
+
 def unique_extension_filter(deck: Deck) -> ExtensionFilterReport:
-    """Group candidate extensions per card by orbit and match ratios across cards.
+    """Extend each card class at its isolated vertex and certify the graphs that have this deck.
 
-    For each card class the candidates are partitioned into orbit classes
-    under the card's automorphisms, one orbit walk per class, and each class
-    gets the exact quantity multiplicity * |Aut(card)| / orbit size. A class
-    only joins cross-card matching when it is multiplicity-consistent: the
-    extended graph's orbit of the added set equals the multiplicity. As the
-    extended graph minus that set is the card, the ratio law makes this hold
-    exactly when the quantity equals |Aut(extended)|, which decides it. A
-    ratio certifies when every card class attains it with exactly one
-    consistent class and all the extended graphs agree; the reconstruction is
-    unique when exactly one certificate survives.
+    For card class c (card K_c, multiplicity m_c) the candidates are the sets
+    of pairs at K_c's first isolated vertex u that restore Kelly's edge count,
+    one orbit walk under Aut(K_c) per orbit class. Class X extends to
+    H = K_c + X and adds t_X * |AO_K_c(X)| * |Aut(H)| to c's tally of H's
+    certificate, where t_X counts H's vertices whose incident edges are X. H
+    is certified when its tally is m_c * |Aut(K_c)| for every c.
 
-    A certified graph H has the input deck. Each card class c (card K_c,
-    multiplicity m_c) picked a set X_c, the whole star of the isolated vertex
-    u_c in K_c + X_c ~ H, with |AO(X_c)| = m_c. Let V_c be the vertices of H
-    whose star lies in the Aut(H)-orbit of X_c's image. Each of them has an
-    augmented card ~ K_c, so the V_c are disjoint, and v -> star(v) maps V_c
-    onto that orbit, so |V_c| >= m_c. As the m_c sum to n, |V_c| = m_c and
-    the V_c partition H's vertices: H's augmented deck is the input deck.
+    That holds exactly when H's augmented deck is the input deck. Write
+    K = K_c. An isomorphism H - s -> K, for a star s of H, can send s's centre
+    to u (permuting K's isolated vertices is an automorphism of K), so each
+    Aut(H)-orbit of such stars meets a class X with K + X ~ H, and only one:
+    an isomorphism K + X -> K + Y sending X to Y maps K onto K. By the
+    paper's law that orbit has |Aut(H)| * |AO_K(X)| / |Aut(K)| stars, each
+    shared by t_X vertices, so the tally over |Aut(K)| counts H's vertices
+    whose augmented card is ~ K; as the m_c sum to n, H has no other card. A
+    card with more edges than Kelly's count has no candidates.
     """
     if deck.kind != "augmented":
         raise PreconditionError("the extension filter expects an augmented deck")
-    n = len(deck.cards)
-    if deck.cards and deck.cards[0].graph.n != n:
-        raise PreconditionError(f"augmented decks carry n={deck.cards[0].graph.n} cards, got {n}")
+    if deck.cards and deck.cards[0].graph.n != len(deck.cards):
+        raise PreconditionError(f"augmented decks carry n={deck.cards[0].graph.n} cards, got {len(deck.cards)}")
     total_edges = kelly_edge_count(deck)  # rejects an empty deck, mixed vertex counts and n < 3
 
     card_reports: list[CardClassReport] = []
+    tallies: list[tuple[dict[bytes, int], int]] = []  # per card class: the tally and its wanted value
+    extended_graphs: dict[bytes, Graph] = {}
     for cls in deck.classes:
         card = cls.representative.graph
         gap = total_edges - card.m
+        group = automorphism_group(card)
         ext_classes: list[ExtensionClass] = []
-        if gap >= 1:
-            group = automorphism_group(card)
-            seen: set[EdgeSet] = set()
-            for pairs in _candidate_sets(card, gap):
-                cand = frozenset(pairs)
-                if cand in seen:
-                    continue
-                orbit = edge_set_orbit(group, cand)
-                seen.update(orbit.elements)
-                extended = Graph(card.n, card.edges | cand)
-                ratio = Fraction(cls.multiplicity * group.order, orbit.size)
-                ext_aut = automorphism_group(extended).order
-                ext_classes.append(
-                    ExtensionClass(
-                        edges=pairs,
-                        orbit_size=orbit.size,
-                        ratio=ratio,
-                        extended_aut=ext_aut,
-                        extended_certificate=canonical_form(extended),
-                        multiplicity_consistent=ratio == ext_aut,
-                    )
-                )
-        card_reports.append(
-            CardClassReport(
-                certificate=cls.certificate,
-                graph=card,
-                multiplicity=cls.multiplicity,
-                deleted_degree=gap,
-                classes=tuple(ext_classes),
-            )
-        )
+        tally: dict[bytes, int] = {}
+        seen: set[EdgeSet] = set()
+        for pairs in _candidate_sets(card, gap) if gap >= 0 else ():  # more edges than Kelly's count: none
+            cand = frozenset(pairs)
+            if cand in seen:
+                continue
+            orbit = edge_set_orbit(group, cand)
+            seen.update(orbit.elements)
+            extended = Graph(card.n, card.edges | cand)
+            cert = canonical_form(extended)
+            ext = ExtensionClass(pairs, orbit.size, automorphism_group(extended).order, cert,
+                                 _star_vertices(extended, pairs))
+            ext_classes.append(ext)
+            tally[cert] = tally.get(cert, 0) + ext.star_vertices * ext.orbit_size * ext.extended_aut
+            extended_graphs.setdefault(cert, extended)
+        tallies.append((tally, cls.multiplicity * group.order))
+        card_reports.append(CardClassReport(cls.certificate, card, cls.multiplicity, gap, tuple(ext_classes)))
 
-    tables: list[dict[Fraction, list[ExtensionClass]]] = [{} for _ in card_reports]
-    for table, report in zip(tables, card_reports):
-        for ext in report.classes:
-            if ext.multiplicity_consistent:
-                table.setdefault(ext.ratio, []).append(ext)
-
-    certified: list[CertifiedMatch] = []
-    for ratio in sorted(tables[0]):
-        picks = [table.get(ratio, ()) for table in tables]
-        if all(len(p) == 1 for p in picks) and len({p[0].extended_certificate for p in picks}) == 1:
-            chosen = picks[0][0]
-            graph = Graph(n, card_reports[0].graph.edges | frozenset(chosen.edges))
-            certified.append(CertifiedMatch(ratio=ratio, certificate=chosen.extended_certificate, graph=graph))
-
-    # a consistent ratio is its extended graph's |Aut|, so certified certificates are distinct
-    reconstructed = tuple(match.graph for match in sorted(certified, key=lambda m: m.certificate))
-    return ExtensionFilterReport(
-        total_edges=total_edges,
-        cards=tuple(card_reports),
-        certified=tuple(certified),
-        unique=len(certified) == 1,
-        reconstructed=reconstructed,
+    certified = tuple(
+        CertifiedMatch(Fraction(automorphism_group(graph).order), cert, graph)
+        for cert, graph in sorted(extended_graphs.items())
+        if all(tally.get(cert) == wanted for tally, wanted in tallies)
     )
+    reconstructed = tuple(match.graph for match in certified)
+    return ExtensionFilterReport(total_edges, tuple(card_reports), certified, len(certified) == 1, reconstructed)

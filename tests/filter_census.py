@@ -2,9 +2,11 @@
 
 Each class's blind augmented deck goes through ``unique_extension_filter``;
 a certified match whose certificate is not the class's own is a wrong
-certification. Run as a script, ``python tests/filter_census.py 7`` prints
-the tally and any wrong certification (n = 7 takes seconds, n = 8 a few
-minutes).
+certification. An oracle that uses no ratio checks the certified set: it
+must be the classes whose sorted augmented-deck certificates equal the
+input's. Run as a script, ``python tests/filter_census.py 7`` prints the
+tally, any wrong certification and any class where the two disagree (n = 7
+takes seconds, n = 8 a few minutes).
 """
 
 import sys
@@ -35,23 +37,32 @@ def classes(n: int) -> list[Graph]:
     return [kept[cert] for cert in sorted(kept)]
 
 
-def census(graphs: list[Graph]) -> tuple[int, list[tuple[str, str]]]:
-    """The number of graphs certified as themselves, and each wrong
-    certification as (the graph's graph6, the certified graph's graph6)."""
-    certified, wrong = 0, []
-    for graph in graphs:
+def census(graphs: list[Graph]) -> tuple[int, list[tuple[str, str]], list[str]]:
+    """The number of graphs certified as themselves, each wrong certification
+    as (the graph's graph6, the certified graph's graph6), and the graph6 of
+    each graph whose certified set is not the set of graphs with its deck."""
+    decks = [augmented_deck(graph) for graph in graphs]
+    same_deck: dict[tuple[bytes, ...], set[bytes]] = {}
+    for graph, deck in zip(graphs, decks):
+        same_deck.setdefault(tuple(sorted(deck.certificates)), set()).add(canonical_form(graph))
+    certified, wrong, disagree = 0, [], []
+    for graph, deck in zip(graphs, decks):
         own = canonical_form(graph)
-        report = unique_extension_filter(augmented_deck(graph).blind())
+        report = unique_extension_filter(deck.blind())
         wrong += [(emit_graph6(graph), emit_graph6(m.graph)) for m in report.certified if m.certificate != own]
         certified += any(m.certificate == own for m in report.certified)
-    return certified, wrong
+        if {m.certificate for m in report.certified} != same_deck[tuple(sorted(deck.certificates))]:
+            disagree.append(emit_graph6(graph))
+    return certified, wrong, disagree
 
 
 if __name__ == "__main__":
     n = int(sys.argv[1])
     graphs = classes(n)
     print(f"n={n}: {len(graphs)} classes")
-    certified, wrong = census(graphs)
-    print(f"{certified} certified, {len(wrong)} wrong")
+    certified, wrong, disagree = census(graphs)
+    print(f"{certified} certified, {len(wrong)} wrong, {len(disagree)} unlike the deck oracle")
     for graph, match in wrong:
         print(f"  {graph} certified as {match}")
+    for graph in disagree:
+        print(f"  {graph}: certified set differs from the classes with its deck")

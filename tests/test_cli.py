@@ -274,6 +274,16 @@ def test_recover_aut_rejects_shared_incident_sets_before_searching(capsys, monke
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("g6", ["G?qbSg", "GCvV@o"])
+def test_recover_aut_rejects_pseudo_similar_vertices(capsys, g6):
+    # each has two vertices in different orbits with isomorphic cards, so a card's
+    # multiplicity exceeds its vertex's orbit size and recovery would report 2, not 1
+    code, out, err = run_cli(capsys, "recover-aut", "--graph", g6)
+    assert code == 2
+    assert not out
+    assert err.startswith("error: pseudo-similar vertices") and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("g6, order", [("Cw", "6"), ("EwCW", "72")])  # K3 + K1, 2K3
 def test_recover_aut_matches_with_one_isolated_vertex_or_triangles(capsys, g6, order):
     code, out, _ = run_cli(capsys, "recover-aut", "--graph", g6)

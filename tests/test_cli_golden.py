@@ -2,8 +2,8 @@
 
 ``golden/cli_reports.json`` maps a case name to the exact stdout line of
 ``autorbit.cli.main`` on fixed graphs and seeds, less its timing field. It
-covers all eleven commands, ``recon-filter`` with and without ``--blind``
-(the deck of ``Cs`` certifies nothing), a mixed ``sweep --subsets single,random`` and a ``proof-chain`` whose checks
+covers all eleven commands, ``recon-filter`` with and without ``--blind``,
+a mixed ``sweep --subsets single,random`` and a ``proof-chain`` whose checks
 fail. Rewrite it only for a deliberate change of report content or format.
 """
 

@@ -220,16 +220,12 @@ def test_filter_report_details():
     assert len(report.cards) == 2  # end-deleted and inner-deleted card classes
     for card_report in report.cards:
         assert card_report.deleted_degree in (1, 2)
-        for ext in card_report.classes:
-            assert ext.ratio == Fraction(
-                card_report.multiplicity * automorphism_group(card_report.graph).order,
-                ext.orbit_size,
-            )
-    # the filter decides consistency by the ratio law, so this direction holds by
-    # construction; test_consistency_flag_matches_the_extended_walk checks the flag
-    # against the extended graph's own orbit
-    consistent = [e for c in report.cards for e in c.classes if e.multiplicity_consistent]
-    assert all(e.ratio == Fraction(e.extended_aut) for e in consistent)
+    # P4 has no K2 component and no isolated vertex, so each added star is one vertex's
+    assert [e.star_vertices for c in report.cards for e in c.classes] == [1] * 4
+    assert [(e.edges, e.orbit_size, e.extended_aut) for e in report.cards[1].classes] == [
+        (((0, 1),), 2, 2),  # the end-deleted card's isolated vertex joins an end of P3: P4
+        (((0, 2),), 1, 6),  # or its middle: K1,3
+    ]
 
 
 def seeded_connected_graphs(seed, count):
@@ -244,20 +240,30 @@ def seeded_connected_graphs(seed, count):
     return graphs
 
 
-def test_consistency_flag_matches_the_extended_walk():
-    # the deck-multiplicity law itself: the extended graph's orbit of the added
-    # set, walked under the extended graph's group, equals the multiplicity
-    seen = Counter()
-    for g in seeded_connected_graphs(41, 60):
-        report = unique_extension_filter(augmented_deck(g).blind())
-        for card_report in report.cards:
+def test_tally_counts_the_extended_graphs_cards():
+    # summed over a card's extension classes with one extended certificate H,
+    # t_X * |AO_K(X)| * |Aut(H)| / |Aut(K)| is the number of H's augmented cards
+    # isomorphic to the card K, counted here from H's deck; t_X is counted from
+    # H's incident edge sets
+    graphs = seeded_connected_graphs(41, 60) + [g for n in range(3, 6) for g in filter_census.classes(n)]
+    star_vertices = Counter()
+    for g in graphs:
+        for card_report in unique_extension_filter(augmented_deck(g).blind()).cards:
             card = card_report.graph
+            card_aut = automorphism_group(card).order
+            tally: dict[bytes, Fraction] = {}
+            extended: dict[bytes, Graph] = {}
             for ext in card_report.classes:
-                cand = frozenset(ext.edges)
-                walked = edge_set_orbit(automorphism_group(Graph(card.n, card.edges | cand)), cand)
-                assert ext.multiplicity_consistent == (walked.size == card_report.multiplicity)
-                seen[ext.multiplicity_consistent] += 1
-    assert seen[True] and seen[False]
+                star = frozenset(ext.edges)
+                h = extended.setdefault(ext.extended_certificate, Graph(card.n, card.edges | star))
+                assert ext.star_vertices == sum(h.incident_edges(v) == star for v in range(h.n))
+                star_vertices[ext.star_vertices] += 1
+                added = Fraction(ext.star_vertices * ext.orbit_size * ext.extended_aut, card_aut)
+                tally[ext.extended_certificate] = tally.get(ext.extended_certificate, 0) + added
+            for cert, h in extended.items():
+                assert tally[cert] == augmented_deck(h).certificates.count(card_report.certificate)
+    # stars of one vertex, of both ends of a K2 component, and empty stars of 3+ isolated vertices
+    assert {1, 2, 3} <= set(star_vertices)
 
 
 def test_filter_walks_one_orbit_per_class_under_the_card_group(monkeypatch):
@@ -277,8 +283,8 @@ def test_filter_walks_one_orbit_per_class_under_the_card_group(monkeypatch):
 
 
 def test_certified_certificates_are_pairwise_distinct():
-    # reconstructed graphs are the certified ones in certificate order, with no
-    # two certified ratios pointing at one isomorphism class
+    # reconstructed graphs are the certified ones in certificate order, each
+    # isomorphism class certified at most once
     named = [smallgraphs.triangle(), smallgraphs.path(4), smallgraphs.cycle(5)]
     for g in named + list(connected_graphs(5)) + seeded_connected_graphs(47, 60):
         report = unique_extension_filter(augmented_deck(g).blind())
@@ -299,12 +305,39 @@ def test_filter_certifies_no_graph_with_another_deck():
     assert report.unique and canonical_form(report.reconstructed[0]) == canonical_form(g)
 
 
-@pytest.mark.parametrize("n, certified", [(3, 2), (4, 6), (5, 14), (6, 45)])
+@pytest.mark.parametrize("n, certified", [(3, 4), (4, 11), (5, 34), (6, 156)])
 def test_filter_census_certifies_no_wrong_graph(n, certified):
+    # every class certified as itself, and the certified set of each deck equal to
+    # the classes sharing its sorted augmented-deck certificates
     graphs = filter_census.classes(n)
     labelled = {canonical_form(from_edge_mask(n, mask)) for mask in range(1 << math.comb(n, 2))}
     assert [canonical_form(g) for g in graphs] == sorted(labelled)  # one graph per class
-    assert filter_census.census(graphs) == (certified, [])
+    assert filter_census.census(graphs) == (certified, [], [])
+
+
+@pytest.mark.parametrize(
+    "g6",
+    # P4 + K1, K3 + K2, E5, and two graphs with pseudo-similar vertices
+    ["Dh?", "DwC", "D??", "G?qbSg", "GCvV@o"],
+)
+def test_filter_certifies_isolated_vertices_k2_components_and_pseudo_similar_vertices(g6):
+    g = parse_graph6(g6)
+    report = unique_extension_filter(augmented_deck(g).blind())
+    assert report.unique
+    assert report.certified[0].certificate == canonical_form(g)
+    assert report.certified[0].ratio == automorphism_group(g).order
+
+
+def test_filter_certifies_nothing_from_a_card_with_more_edges_than_kellys_count():
+    # K3 + K1, E4, E4 and K2 + 2K1 pass kelly_edge_count (m = 4 / 2 = 2), but the
+    # K3 + K1 card already has 3 edges, so it has no extension and nothing is certified
+    triangle = Graph(4, frozenset({(0, 1), (0, 2), (1, 2)}))
+    cards = (triangle, smallgraphs.empty(4), smallgraphs.empty(4), Graph(4, frozenset({(0, 1)})))
+    deck = Deck("augmented", tuple(map(Card, cards)))
+    assert kelly_edge_count(deck) == 2
+    report = unique_extension_filter(deck)
+    assert report.certified == () and not report.unique and report.reconstructed == ()
+    assert [c.deleted_degree for c in report.cards if not c.classes] == [-1]
 
 
 def graphs_with_shared_isolation(seed, count):
