@@ -231,13 +231,18 @@ def unique_extension_filter(deck: Deck) -> ExtensionFilterReport:
     paper's law that orbit has |Aut(H)| * |AO_K(X)| / |Aut(K)| stars, each
     shared by t_X vertices, so the tally over |Aut(K)| counts H's vertices
     whose augmented card is ~ K; as the m_c sum to n, H has no other card. A
-    card with more edges than Kelly's count has no candidates.
+    card with more edges than Kelly's count has no candidates. Kelly's lemma
+    screens each candidate before its walk: H's card at v has total_edges -
+    deg(v) edges, so a graph with this deck has the sorted degrees
+    ``kelly_degrees``, and a class whose extension has other degrees only feeds
+    the tally of a graph that is never certified. Screened sets stay unseen.
     """
     if deck.kind != "augmented":
         raise PreconditionError("the extension filter expects an augmented deck")
     if deck.cards and deck.cards[0].graph.n != len(deck.cards):
         raise PreconditionError(f"augmented decks carry n={deck.cards[0].graph.n} cards, got {len(deck.cards)}")
     total_edges = kelly_edge_count(deck)  # rejects an empty deck, mixed vertex counts and n < 3
+    kelly_degrees = sorted(total_edges - card.graph.m for card in deck.cards)
 
     card_reports: list[CardClassReport] = []
     tallies: list[tuple[dict[bytes, int], int]] = []  # per card class: the tally and its wanted value
@@ -246,6 +251,7 @@ def unique_extension_filter(deck: Deck) -> ExtensionFilterReport:
         card = cls.representative.graph
         gap = total_edges - card.m
         group = automorphism_group(card)
+        degrees = card.degrees()
         ext_classes: list[ExtensionClass] = []
         tally: dict[bytes, int] = {}
         seen: set[EdgeSet] = set()
@@ -253,6 +259,8 @@ def unique_extension_filter(deck: Deck) -> ExtensionFilterReport:
             cand = frozenset(pairs)
             if cand in seen:
                 continue
+            if sorted(d + sum(v in pair for pair in pairs) for v, d in enumerate(degrees)) != kelly_degrees:
+                continue  # Kelly's lemma rules this degree sequence out
             orbit = edge_set_orbit(group, cand)
             seen.update(orbit.elements)
             extended = Graph(card.n, card.edges | cand)

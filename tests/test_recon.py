@@ -221,10 +221,14 @@ def test_filter_report_details():
     for card_report in report.cards:
         assert card_report.deleted_degree in (1, 2)
     # P4 has no K2 component and no isolated vertex, so each added star is one vertex's
-    assert [e.star_vertices for c in report.cards for e in c.classes] == [1] * 4
+    assert [e.star_vertices for c in report.cards for e in c.classes] == [1] * 2
+    # Kelly's degrees are [1, 1, 2, 2]: the screen drops K3 + K1 from the inner-deleted
+    # card (K2 + 2K1) and K1,3 from the end-deleted card (P3 + K1), leaving P4 from each
+    assert [(e.edges, e.orbit_size, e.extended_aut) for e in report.cards[0].classes] == [
+        (((0, 1), (0, 2)), 4, 2),  # an isolated vertex joins the other and an end of K2
+    ]
     assert [(e.edges, e.orbit_size, e.extended_aut) for e in report.cards[1].classes] == [
-        (((0, 1),), 2, 2),  # the end-deleted card's isolated vertex joins an end of P3: P4
-        (((0, 2),), 1, 6),  # or its middle: K1,3
+        (((0, 1),), 2, 2),  # the end-deleted card's isolated vertex joins an end of P3
     ]
 
 
@@ -264,6 +268,32 @@ def test_tally_counts_the_extended_graphs_cards():
                 assert tally[cert] == augmented_deck(h).certificates.count(card_report.certificate)
     # stars of one vertex, of both ends of a K2 component, and empty stars of 3+ isolated vertices
     assert {1, 2, 3} <= set(star_vertices)
+
+
+def test_kellys_screen_keeps_exactly_the_stars_with_the_inputs_degrees():
+    # counted with degree arithmetic alone: no search, no orbit walk, no law
+    def extended_degrees(card, star):
+        degrees = list(card.degrees())
+        for pair in star:
+            for v in pair:
+                degrees[v] += 1
+        return sorted(degrees)
+
+    graphs = [g for n in range(3, 7) for g in filter_census.classes(n)] + seeded_connected_graphs(41, 60)
+    for g in graphs:
+        for card_report in unique_extension_filter(augmented_deck(g).blind()).cards:
+            card, gap = card_report.graph, card_report.deleted_degree
+            for ext in card_report.classes:
+                assert extended_degrees(card, ext.edges) == list(g.degree_sequence)
+            # recon._candidate_sets lists only the stars at the first isolated vertex, but
+            # a class's orbit under Aut(card) also holds its stars at every other one
+            stars = {
+                frozenset((min(u, v), max(u, v)) for v in ends)
+                for u in range(card.n) if card.degree(u) == 0
+                for ends in itertools.combinations([v for v in range(card.n) if v != u], gap)
+            }
+            passing = sum(extended_degrees(card, star) == list(g.degree_sequence) for star in stars)
+            assert sum(ext.orbit_size for ext in card_report.classes) == passing
 
 
 def test_filter_walks_one_orbit_per_class_under_the_card_group(monkeypatch):
@@ -337,7 +367,9 @@ def test_filter_certifies_nothing_from_a_card_with_more_edges_than_kellys_count(
     assert kelly_edge_count(deck) == 2
     report = unique_extension_filter(deck)
     assert report.certified == () and not report.unique and report.reconstructed == ()
-    assert [c.deleted_degree for c in report.cards if not c.classes] == [-1]
+    # Kelly's degrees are [-1, 1, 2, 2], which no extension has, so every card class is empty
+    assert sorted(c.deleted_degree for c in report.cards) == [-1, 1, 2]
+    assert all(c.classes == () for c in report.cards)
 
 
 def graphs_with_shared_isolation(seed, count):
@@ -361,7 +393,7 @@ def test_certified_graphs_have_the_input_deck():
         for match in unique_extension_filter(deck).certified:
             assert sorted(augmented_deck(match.graph).certificates) == sorted(deck.certificates)
             checked += 1
-    assert checked >= 2 + 6 + 14 + 45
+    assert checked == len(graphs)  # one certified graph per input
 
 
 def test_first_isolated_vertex_gives_the_reports_of_every_isolated_vertex(monkeypatch):
